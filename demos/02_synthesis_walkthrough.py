@@ -60,14 +60,13 @@ def main():
     print("  minimal covers:",
           [render_pairs(v) for v in minimal_covers(w1, "sigma", ctx)])
 
-    banner("The three construction variants")
+    banner("takai (minimal covers) and variant1 (every cover)")
     takai = build(ctx, "takai")
     show_supervisor(takai)
     v1 = build(ctx, "variant1")
     show_supervisor(v1)
-    v2 = build(ctx, "variant2")
-    print("variant2 matches takai:",
-          v2.automaton.transitions == takai.automaton.transitions)
+    print("takai edges inside variant1:",
+          takai.automaton.transitions <= v1.automaton.transitions)
     print("variant1 extra edges:",
           sorted(v1.automaton.transitions - takai.automaton.transitions))
 

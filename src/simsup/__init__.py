@@ -32,10 +32,10 @@ from .simulation import (Relation, check_simulation, f_step,
                          project_pi)
 from .synthesis import (CoverFamily, Guards, SupervisorAutomaton,
                         SynthesisContext, build, clause_a, clause_b,
-                        clause_b_simplified, cover_family, in_n_set, in_sp,
-                        initial_power_states, is_admissible, minimal_covers,
-                        more_permissive, n_set_members, parse_pairs,
-                        payloads_from_ids, prune_deadlocks, render_pairs,
+                        cover_family, in_n_set, in_sp, initial_power_states,
+                        is_admissible, minimal_covers, more_permissive,
+                        n_set_members, parse_pairs, payloads_from_ids,
+                        prune_deadlocks, render_pairs,
                         supervisor_from_pair_sets)
 
 __version__ = "0.1.0"
@@ -58,10 +58,9 @@ __all__ = [
     "Relation", "check_simulation", "f_step", "greatest_uc_fixpoint",
     "is_simulation_relation", "pi_g", "project_pi",
     "CoverFamily", "Guards", "SupervisorAutomaton", "SynthesisContext",
-    "build", "clause_a", "clause_b", "clause_b_simplified", "cover_family",
-    "in_n_set", "in_sp", "initial_power_states", "is_admissible",
-    "minimal_covers", "more_permissive", "n_set_members", "parse_pairs",
-    "payloads_from_ids", "prune_deadlocks", "render_pairs",
-    "supervisor_from_pair_sets",
+    "build", "clause_a", "clause_b", "cover_family", "in_n_set", "in_sp",
+    "initial_power_states", "is_admissible", "minimal_covers",
+    "more_permissive", "n_set_members", "parse_pairs", "payloads_from_ids",
+    "prune_deadlocks", "render_pairs", "supervisor_from_pair_sets",
     "__version__",
 ]

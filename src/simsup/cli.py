@@ -163,13 +163,13 @@ def cmd_verify(args) -> int:
     print("in SP (admissible and loop below spec): %s" % ("yes" if member else "no"))
     ok_all = ok_all and member
 
+    ctx = SynthesisContext(plant, spec, guards)
     payloads = payloads_from_ids(sup_auto)
     if payloads is None:
         print("gr-check: skipped (state ids are not pair-set renderings)")
     else:
         user = SupervisorAutomaton(sup_auto, payloads, "user", guards)
-        report = check_saturated(user, plant, spec,
-                                 SynthesisContext(plant, spec, guards))
+        report = check_saturated(user, plant, spec, ctx)
         print("gr-check verdict: %s" % report.verdict)
         for clause in CLAUSE_ORDER:
             failures = report.failures_for(clause)
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
             print("  note: %s" % note)
         ok_all = ok_all and report.verdict == "saturated"
 
-    takai = build(SynthesisContext(plant, spec, guards), "takai")
+    takai = build(ctx, "takai")
     below = more_permissive(sup_auto, takai.automaton, plant)
     above = more_permissive(takai.automaton, sup_auto, plant)
     print("loop below takai loop: %s" % ("yes" if below else "no"))
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synthesize", help="build a supervisor")
     p.add_argument("plant")
     p.add_argument("spec")
-    p.add_argument("--variant", choices=("takai", "variant1", "variant2"),
+    p.add_argument("--variant", choices=("takai", "variant1"),
                    default="takai")
     p.add_argument("--prune-deadlocks", action="store_true")
     p.add_argument("--partial", action="store_true",

@@ -13,13 +13,13 @@ lexicographically least witness per offence, in fixed clause order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .automata import Automaton, reachable
-from .errors import ExplosionGuardError, InputError
-from .synthesis import (SupervisorAutomaton, SynthesisContext, _canon, clause_a,
-                        clause_b, in_n_set, minimal_covers, render_pairs)
+from .errors import InputError
+from .synthesis import (SupervisorAutomaton, SynthesisContext, clause_a,
+                        clause_b, in_n_set, initial_power_states,
+                        minimal_covers, render_pairs)
 
 CLAUSE_ORDER = ("state", "istate", "6-a", "6-b", "sistate", "6-c")
 
@@ -151,7 +151,9 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
     failures: list[ClauseFailure] = []
 
     initial_payloads = {frozenset(payloads[sid]) for sid in auto.initial}
-    for fn in _initial_choice_functions(ctx):
+    # check_gr has passed, so every initial plant state has a partner and
+    # the enumeration cannot raise the precondition error
+    for fn in initial_power_states(ctx):
         if fn not in initial_payloads:
             failures.append(ClauseFailure("sistate", (fn,)))
 
@@ -169,22 +171,3 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
     verdict = "saturated" if not failures else "gr-unsaturated"
     return GrReport(verdict, report.clause_failures + failures, report.warnings)
 
-
-def _initial_choice_functions(ctx: SynthesisContext) -> list:
-    """Every pair-set taking exactly one fixpoint partner per initial plant
-    state; the sistate clause demands each be an initial state."""
-    x0s = sorted(ctx.plant.initial)
-    options = []
-    for x0 in x0s:
-        opts = sorted(z0 for z0 in ctx.spec.initial if (x0, z0) in ctx.w_up)
-        options.append(opts)
-    count = 1
-    for opts in options:
-        count *= len(opts)
-    cap = ctx.guards.max_covers
-    if count > cap:
-        raise ExplosionGuardError(
-            "sistate choice-function cap %d exceeded (%d combinations)"
-            % (cap, count))
-    out = [frozenset(zip(x0s, combo)) for combo in itertools.product(*options)]
-    return sorted(out, key=_canon)

@@ -18,8 +18,8 @@ from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError, InputError, InternalConsistencyError
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
                         SynthesisContext, _antichain_minima, _canon,
-                        initial_power_states, is_admissible, minimal_covers,
-                        render_pairs)
+                        _matchable, clause_a, initial_power_states,
+                        is_admissible, minimal_covers, render_pairs)
 
 
 @dataclass(frozen=True)
@@ -130,26 +130,12 @@ def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
 
 def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
     """Observable events enabled somewhere in w2 with every w2 obligation
-    answerable inside the fixpoint."""
-    gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
-    out = []
-    for ev in ctx.plant.alphabet.events:
-        if ev not in ctx.plant.alphabet.observable:
-            continue
-        if not any(gsucc.get((x, ev)) for (x, _) in y.w2):
-            continue
-        ok = True
-        for (x, z) in y.w2:
-            zs = rsucc.get((z, ev), ())
-            for x1 in gsucc.get((x, ev), ()):
-                if not any((x1, z1) in ctx.w_up for z1 in zs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(ev)
-    return tuple(out)
+    answerable inside the fixpoint (clause_a and clause_b without the
+    uncontrollable escape)."""
+    observable = ctx.plant.alphabet.observable
+    return tuple(ev for ev in ctx.plant.alphabet.events
+                 if ev in observable and clause_a(y.w2, ev, ctx)
+                 and _matchable(y.w2, ev, ctx))
 
 
 def _completions(w1: PowerState, gammas, ctx: SynthesisContext) -> list[TripleState]:

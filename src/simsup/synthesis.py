@@ -6,9 +6,7 @@ when some pair enables it (clause_a) and, for controllable events, every
 enabled occurrence can be answered inside the fixpoint (clause_b).  Successor
 PowerStates are covers: subsets of the one-step successor pairs answering
 every obligation.  The classic construction (tag "takai") uses the minimal
-covers; variant1 uses every cover; variant2 re-derives the minimal ones
-through the clause split of the alternative characterization and must agree
-with takai on finite inputs.
+covers; variant1 uses every cover.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from functools import cached_property
 
 from .automata import (Automaton, compose, is_deadlock, split_product_id,
                        split_top_level)
-from .errors import (ExplosionGuardError, InputError, InternalConsistencyError,
-                     SynthesisPreconditionError)
+from .errors import ExplosionGuardError, InputError, SynthesisPreconditionError
 from .simulation import Pair, check_simulation, greatest_uc_fixpoint
 
 PowerState = frozenset  # of Pair
@@ -113,10 +110,7 @@ def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamil
         for x1 in gsucc.get((x, event), ()):
             allowed = tuple((x1, z1) for z1 in zs if (x1, z1) in ctx.w_up)
             obligations.append(((x, z, x1), allowed))
-        for x1 in gsucc.get((x, event), ()):
-            for z1 in zs:
-                if (x1, z1) in ctx.w_up:
-                    candidates.add((x1, z1))
+            candidates.update(allowed)
     return CoverFamily(frozenset(w), event, tuple(obligations), _canon(candidates))
 
 
@@ -141,12 +135,6 @@ def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     return event in ctx.uncontrollable or _matchable(w, event, ctx)
 
 
-def clause_b_simplified(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
-    """clause_b without the uncontrollable escape; equals clause_b on fixpoint
-    subsets whenever the plant is uc-similar to the spec."""
-    return _matchable(w, event, ctx)
-
-
 def _cover_guard(fam: CoverFamily, count_kind: str, cap: int) -> ExplosionGuardError:
     return ExplosionGuardError(
         "%s cap %d exceeded at (%s, %s) with %d candidate pairs"
@@ -164,6 +152,9 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext,
     return _enumerate_covers(fam, cap)
 
 
+_VISIT, _TAKE, _DROP = range(3)
+
+
 def _enumerate_covers(fam: CoverFamily, cap: int):
     allowed = [frozenset(a) for (_, a) in fam.obligations]
     if any(not a for a in allowed):
@@ -175,29 +166,33 @@ def _enumerate_covers(fam: CoverFamily, cap: int):
     possible = [len(a) for a in allowed]
     chosen: list[Pair] = []
     yielded = 0
-
-    def walk(i):
-        nonlocal yielded
-        if i == len(cands):
+    # depth-first over candidates, leaving cands[i] out before taking it in;
+    # an explicit stack, since a recursive walk is as deep as the pool is wide
+    todo = [(_VISIT, 0)]
+    while todo:
+        step, i = todo.pop()
+        if step == _DROP:
+            chosen.pop()
+        elif step == _TAKE:
+            for j in serves[i]:
+                possible[j] += 1
+            chosen.append(cands[i])
+            todo.append((_DROP, i))
+            todo.append((_VISIT, i + 1))
+        elif i == len(cands):
             yielded += 1
             if yielded > cap:
                 raise _cover_guard(fam, "cover enumeration", cap)
             yield frozenset(chosen)
-            return
-        dead = False
-        for j in serves[i]:
-            possible[j] -= 1
-            if possible[j] == 0:
-                dead = True
-        if not dead:
-            yield from walk(i + 1)
-        for j in serves[i]:
-            possible[j] += 1
-        chosen.append(cands[i])
-        yield from walk(i + 1)
-        chosen.pop()
-
-    yield from walk(0)
+        else:
+            dead = False
+            for j in serves[i]:
+                possible[j] -= 1
+                if possible[j] == 0:
+                    dead = True
+            todo.append((_TAKE, i))
+            if not dead:
+                todo.append((_VISIT, i + 1))
 
 
 def in_n_set(w: PowerState, event: str, target: PowerState,
@@ -244,20 +239,13 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
     return _antichain_minima(_choice_selections(fam, ctx.guards.max_covers))
 
 
-def initial_power_states(ctx: SynthesisContext, style: str = "takai") -> list[PowerState]:
+def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
     """Initial PowerStates: subsets of fixpoint pairs over initial states that
-    pick exactly one spec partner per initial plant state.
-
-    Two definitions are enumerated independently: size-|X0| subsets covering
-    every initial plant state ("takai") and one-partner-per-state choice
-    functions ("singleton").  On finite inputs they coincide; the coincidence
-    is asserted on every call and a mismatch aborts.
+    pick exactly one spec partner per initial plant state, enumerated as
+    choice functions.  Sorted canonically.
     """
-    if style not in ("takai", "singleton"):
-        raise InputError("style must be 'takai' or 'singleton', got %r" % style)
-    g, r = ctx.plant, ctx.spec
-    x0s = sorted(g.initial)
-    z0s = sorted(r.initial)
+    x0s = sorted(ctx.plant.initial)
+    z0s = sorted(ctx.spec.initial)
     options = []
     for x0 in x0s:
         opts = [z0 for z0 in z0s if (x0, z0) in ctx.w_up]
@@ -274,24 +262,8 @@ def initial_power_states(ctx: SynthesisContext, style: str = "takai") -> list[Po
     if count > cap:
         raise ExplosionGuardError(
             "initial choice-function cap %d exceeded (%d combinations)" % (cap, count))
-    singleton = {frozenset(zip(x0s, combo))
-                 for combo in itertools.product(*options)}
-    pool = sorted(p for p in ctx.w_up if p[0] in g.initial and p[1] in r.initial)
-    budget = cap * max(1, len(pool))
-    scanned = 0
-    subsets = set()
-    for comb in itertools.combinations(pool, len(x0s)):
-        scanned += 1
-        if scanned > budget:
-            raise ExplosionGuardError(
-                "initial subset scan budget %d exceeded over %d fixpoint pairs"
-                % (budget, len(pool)))
-        if {x for (x, _) in comb} == set(x0s):
-            subsets.add(frozenset(comb))
-    if singleton != subsets:
-        raise InternalConsistencyError(
-            "size-|X0| covering subsets and initial choice functions disagree")
-    return sorted(singleton, key=_canon)
+    out = [frozenset(zip(x0s, combo)) for combo in itertools.product(*options)]
+    return sorted(out, key=_canon)
 
 
 @dataclass
@@ -301,7 +273,7 @@ class SupervisorAutomaton:
     payloads maps each state id to its structured payload: a PowerState
     (frozenset of pairs) for full-observation constructions, a TripleState for
     partial observation.  construction_tag records provenance: takai,
-    variant1, variant2, tilde-of-<tag>, partial, or user.
+    variant1, tilde-of-<tag>, partial, or user.
     """
 
     automaton: Automaton
@@ -311,28 +283,12 @@ class SupervisorAutomaton:
     notes: tuple[str, ...] = ()
 
 
-def _variant2_targets(fam: CoverFamily, ctx: SynthesisContext) -> list[PowerState]:
-    # second clause of the alternative characterization: an edge may also go
-    # to a cover with no minimal cover below it; on finite inputs no such
-    # cover exists, and the antichain scan proves it for this (W, event)
-    selections = _choice_selections(fam, ctx.guards.max_covers)
-    minima = _antichain_minima(selections)
-    for sel in selections:
-        if not any(m <= sel for m in minima):
-            raise InternalConsistencyError(
-                "choice selection %s has no minimal cover below it"
-                % render_pairs(sel))
-    return minima
-
-
 def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     """Breadth-first construction of the reachable supervisor.
 
     takai: edges to every minimal cover.  variant1: edges to every cover.
-    variant2: edges per the alternative clause split; asserted to coincide
-    with takai on finite inputs.
     """
-    if variant not in ("takai", "variant1", "variant2"):
+    if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
     inits = initial_power_states(ctx)
     events = ctx.plant.alphabet.events
@@ -352,10 +308,8 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
                 continue
             if variant == "takai":
                 targets = minimal_covers(w, ev, ctx)
-            elif variant == "variant1":
-                targets = list(n_set_members(w, ev, ctx))
             else:
-                targets = _variant2_targets(cover_family(w, ev, ctx), ctx)
+                targets = list(n_set_members(w, ev, ctx))
             for w1 in sorted(targets, key=_canon):
                 tid = render_pairs(w1)
                 edges.add((src, ev, tid))

@@ -83,6 +83,34 @@ def oracle_minimal(sets) -> list:
     return [s for s in sets if not any(t < s for t in sets)]
 
 
+def oracle_variant2_targets(covers) -> list:
+    """Edge targets under the alternative clause split: the minimal covers,
+    plus every cover with no minimal cover below it.  The second clause is
+    empty on finite inputs, so this equals the minimal covers."""
+    minimal = oracle_minimal(covers)
+    unfounded = [s for s in covers if not any(m <= s for m in minimal)]
+    return minimal + unfounded
+
+
+def oracle_matchable(w, event, g: Automaton, r: Automaton, w_up) -> bool:
+    """Every event move of a plant state in w has a spec answer from its
+    partner that lands inside w_up (clause_b without the uncontrollable
+    escape)."""
+    dg, dr = delta(g), delta(r)
+    return all(any((x1, z1) in w_up for z1 in dr.get((z, event), ()))
+               for (x, z) in w for x1 in dg.get((x, event), ()))
+
+
+def oracle_initial_power_states(g: Automaton, r: Automaton, w_up) -> set:
+    """Size-|X0| subsets of the initial pairs in w_up that cover every
+    initial plant state, by scanning all such subsets."""
+    pool = sorted((x, z) for (x, z) in w_up
+                  if x in g.initial and z in r.initial)
+    return {frozenset(combo)
+            for combo in itertools.combinations(pool, len(g.initial))
+            if {x for (x, _) in combo} == set(g.initial)}
+
+
 def oracle_minimal_u(w1, gamma, g: Automaton, r: Automaton, w_up) -> list:
     """Minimal gamma-closed supersets of w1 inside w_up, by scanning every
     superset.  2^|w_up - w1| subsets; keep w_up tiny."""

@@ -81,11 +81,14 @@ def test_synthesize_writes_aut_and_sidecar(chain_files, capsys):
     assert "plant_sha256" in body["context"]
 
 
-def test_synthesize_variant2_bytes_equal_takai(chain_files):
+def test_synthesize_rejects_variant2(chain_files, capsys):
     g, r, tmp = chain_files
-    main(["synthesize", g, r, "--out", str(tmp / "t")])
-    main(["synthesize", g, r, "--variant", "variant2", "--out", str(tmp / "v")])
-    assert (tmp / "t.aut").read_bytes() == (tmp / "v.aut").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", g, r, "--variant", "variant2",
+              "--out", str(tmp / "v")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'variant2'" in capsys.readouterr().err
+    assert not (tmp / "v.aut").exists()
 
 
 def test_synthesize_prune_and_dot(chain_files):
@@ -113,6 +116,21 @@ def test_synthesize_guard_exit_3(chain_files, capsys):
                "--out", str(tmp / "x")])
     assert rc == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_synthesize_variant1_wide_cover_pool_exit_3(tmp_path, capsys):
+    # 40 x 40 candidate pairs at the initial state: the cover walk runs
+    # deeper than the interpreter's recursion limit, and must end in the guard
+    g = tmp_path / "g.aut"
+    r = tmp_path / "r.aut"
+    g.write_text("events: a:c:o\ninitial: x0\n" + "".join(
+        "trans: x0 -a-> x%d\n" % i for i in range(1, 41)))
+    r.write_text("events: a:c:o\ninitial: z0\n" + "".join(
+        "trans: z0 -a-> z%d\n" % i for i in range(1, 41)))
+    rc = main(["synthesize", str(g), str(r), "--variant", "variant1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "guard tripped" in capsys.readouterr().err
 
 
 def test_synthesize_precondition_exit_1(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_supervisors_b_and_c_are_saturated():
 
 def test_builds_are_saturated():
     ctx = chain_ctx()
-    for variant in ("takai", "variant1", "variant2"):
+    for variant in ("takai", "variant1"):
         report = check_saturated(build(ctx, variant), CHAIN_PLANT,
                                  CHAIN_SPEC, ctx)
         assert report.verdict == "saturated"

@@ -5,13 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
-                    SynthesisPreconditionError, check_simulation, compose)
+                    SynthesisPreconditionError, check_saturated,
+                    check_simulation, compose)
 from simsup.automata import Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
-                              clause_b, clause_b_simplified, cover_family,
-                              in_n_set, in_sp, initial_power_states,
-                              is_admissible, minimal_covers, more_permissive,
+                              clause_b, cover_family, in_n_set, in_sp,
+                              initial_power_states, is_admissible,
+                              minimal_covers, more_permissive,
                               n_set_members, parse_pairs, payloads_from_ids,
                               prune_deadlocks, render_pairs,
                               supervisor_from_pair_sets)
@@ -20,7 +21,8 @@ from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, FORK_S1, W0, W1, W2, W3, W4, W5,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
 from .oracles import (oracle_admissible, oracle_in_sp, oracle_loop_below,
-                      oracle_minimal, oracle_n_set)
+                      oracle_matchable, oracle_minimal, oracle_n_set,
+                      oracle_variant2_targets)
 
 
 def chain_ctx(**kw):
@@ -71,7 +73,8 @@ def test_clause_b_simplification_agrees_on_fixture():
     for w in sup.payloads.values():
         for ev in CHAIN_ALPHA.events:
             if clause_a(w, ev, ctx):
-                assert clause_b(w, ev, ctx) == clause_b_simplified(w, ev, ctx)
+                assert clause_b(w, ev, ctx) == oracle_matchable(
+                    w, ev, CHAIN_PLANT, CHAIN_SPEC, ctx.w_up)
 
 
 def test_cover_family_shape():
@@ -99,6 +102,24 @@ def test_n_set_membership_predicate():
 def test_n_set_enumeration_guard():
     with pytest.raises(ExplosionGuardError):
         list(n_set_members(W1, "sigma", chain_ctx(), cap=2))
+
+
+def test_n_set_members_yield_order():
+    # each candidate is left out before it is taken in: covers come in
+    # lexicographic order of their membership vectors over candidate_pairs
+    plant, spec = random_pair(4, plant_states=3, spec_states=3, n_events=2,
+                              density=0.4)
+    ctx = SynthesisContext(plant, spec, Guards())
+    pairs = sorted(ctx.w_up)
+    seen = 0
+    for i in range(0, len(pairs) - 1, 2):
+        w = frozenset(pairs[i:i + 2])
+        for ev in plant.alphabet.events:
+            cands = cover_family(w, ev, ctx).candidate_pairs
+            got = list(n_set_members(w, ev, ctx))
+            assert got == sorted(got, key=lambda s: [c in s for c in cands])
+            seen += len(got)
+    assert seen == 53
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,9 +165,12 @@ def test_initial_power_states_precondition():
         initial_power_states(SynthesisContext(g, r, Guards()))
 
 
-def test_initial_power_states_style_validation():
-    with pytest.raises(InputError):
-        initial_power_states(chain_ctx(), style="bogus")
+def test_initial_power_states_guard_in_check_saturated():
+    # the sistate clause enumerates through initial_power_states, so its
+    # choice-function cap trips there: the fork has two initial partners
+    sup = build(fork_ctx())
+    with pytest.raises(ExplosionGuardError, match="initial"):
+        check_saturated(sup, FORK_PLANT, FORK_SPEC, fork_ctx(max_covers=1))
 
 
 # --- builds ------------------------------------------------------------------
@@ -173,17 +197,25 @@ def test_variant1_adds_every_cover():
     assert v1.construction_tag == "variant1"
 
 
-def test_variant2_equals_takai():
+def test_takai_targets_equal_variant2_oracle():
     ctx = chain_ctx()
-    takai, v2 = build(ctx), build(ctx, "variant2")
-    assert takai.automaton.states == v2.automaton.states
-    assert takai.automaton.transitions == v2.automaton.transitions
-    assert v2.construction_tag == "variant2"
+    sup = build(ctx)
+    auto = sup.automaton
+    edges = 0
+    for sid, w in sup.payloads.items():
+        for ev in CHAIN_ALPHA.events:
+            targets = {sup.payloads[t] for t in auto.succ.get((sid, ev), ())}
+            if targets:
+                assert targets == set(
+                    oracle_variant2_targets(list(n_set_members(w, ev, ctx))))
+                edges += len(targets)
+    assert edges == len(auto.transitions)
 
 
 def test_build_variant_validation():
-    with pytest.raises(InputError):
-        build(chain_ctx(), "variant9")
+    for variant in ("variant9", "variant2"):
+        with pytest.raises(InputError):
+            build(chain_ctx(), variant)
 
 
 def test_build_state_guard():
