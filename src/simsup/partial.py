@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError, InputError, InternalConsistencyError
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _antichain_minima, _canon,
-                        _matchable, clause_a, initial_power_states,
-                        is_admissible, minimal_covers, render_pairs)
+                        SynthesisContext, _canon, _matchable, clause_a,
+                        initial_power_states, is_admissible, minimal_covers,
+                        render_pairs)
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,15 @@ def _first_unmet(w: PowerState, gamma: frozenset[str], ctx: SynthesisContext):
                 if not any((x1, z1) in w for z1 in zs):
                     return (x, z, ev, x1)
     return None
+
+
+def _antichain_minima(sets: list[PowerState]) -> list[PowerState]:
+    """Subset-minimal members, lexicographically least representative first."""
+    minima: list[PowerState] = []
+    for cand in sorted(set(sets), key=lambda s: (len(s), _canon(s))):
+        if not any(m <= cand for m in minima):
+            minima.append(cand)
+    return sorted(minima, key=_canon)
 
 
 def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
@@ -161,11 +170,13 @@ def build_partial(plant: Automaton, spec: Automaton,
     inits = []
     for w01 in initial_power_states(ctx):
         inits.extend(_completions(w01, gammas, ctx))
+    tids: dict[TripleState, str] = {}  # each id rendered once, when first reached
     payloads: dict[str, TripleState] = {}
     queue = deque()
     for y in sorted(inits, key=lambda t: t.tid):
-        if y.tid not in payloads:
-            payloads[y.tid] = y
+        if y not in tids:
+            tid = tids[y] = y.tid
+            payloads[tid] = y
             queue.append(y)
     if not payloads:
         # the minimal mask always closes inside the fixpoint, so this cannot fire
@@ -173,21 +184,25 @@ def build_partial(plant: Automaton, spec: Automaton,
     edges = set()
     while queue:
         y = queue.popleft()
+        src = tids[y]
         for ev in sorted(y.gamma_uo):
-            edges.add((y.tid, ev, y.tid))
+            edges.add((src, ev, src))
         for ev in sigma_y(y, ctx):
             for w1 in minimal_covers(y.w2, ev, ctx):
                 for y1 in _completions(w1, gammas, ctx):
-                    edges.add((y.tid, ev, y1.tid))
-                    if y1.tid not in payloads:
+                    tid = tids.get(y1)
+                    if tid is None:
+                        tid = y1.tid
                         if len(payloads) >= ctx.guards.max_states:
                             raise ExplosionGuardError(
                                 "supervisor state cap %d exceeded when reaching %s"
-                                % (ctx.guards.max_states, y1.tid))
-                        payloads[y1.tid] = y1
+                                % (ctx.guards.max_states, tid))
+                        tids[y1] = tid
+                        payloads[tid] = y1
                         queue.append(y1)
+                    edges.add((src, ev, tid))
     auto = Automaton(frozenset(payloads), plant.alphabet, frozenset(edges),
-                     frozenset(y.tid for y in inits))
+                     frozenset(tids[y] for y in inits))
     notes = ()
     if plant.alphabet.unobservable:
         notes = ("successor observation masks are not pinned by the step rule; "

@@ -6,7 +6,8 @@ when some pair enables it (clause_a) and, for controllable events, every
 enabled occurrence can be answered inside the fixpoint (clause_b).  Successor
 PowerStates are covers: subsets of the one-step successor pairs answering
 every obligation.  The classic construction (tag "takai") uses the minimal
-covers; variant1 uses every cover.
+covers, enumerated directly as the minimal transversals of the obligations'
+allowed sets; variant1 uses every cover.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ PowerState = frozenset  # of Pair
 
 @dataclass(frozen=True)
 class Guards:
-    """Explosion caps: reachable supervisor states, and enumerated covers or
-    choice functions per (PowerState, event)."""
+    """Explosion caps: reachable supervisor states, and an enumeration cap
+    that bounds the choice functions behind each set of minimal covers, the
+    covers variant1 yields per (PowerState, event), the closures minimal_u
+    explores and the initial combinations."""
 
     max_states: int = 10_000
     max_covers: int = 4_096
@@ -205,38 +208,94 @@ def in_n_set(w: PowerState, event: str, target: PowerState,
     return all(target & frozenset(a) for (_, a) in fam.obligations)
 
 
-def _choice_selections(fam: CoverFamily, cap: int) -> list[PowerState]:
-    """Distinct pair-sets of choice functions: one allowed answer per
-    obligation.  Sorted canonically."""
-    if not fam.obligations:
-        return [frozenset()]
-    allowed = [a for (_, a) in fam.obligations]
-    if any(not a for a in allowed):
-        return []
-    out = set()
-    scanned = 0
-    for combo in itertools.product(*allowed):
-        scanned += 1
-        if scanned > cap:
-            raise _cover_guard(fam, "choice-function enumeration", cap)
-        out.add(frozenset(combo))
-    return sorted(out, key=_canon)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _antichain_minima(sets: list[PowerState]) -> list[PowerState]:
-    """Subset-minimal members, lexicographically least representative first."""
-    minima: list[PowerState] = []
-    for cand in sorted(set(sets), key=lambda s: (len(s), _canon(s))):
-        if not any(m <= cand for m in minima):
-            minima.append(cand)
-    return sorted(minima, key=_canon)
+def _minimal_transversals(edges: list[int]) -> list[int]:
+    """Minimal transversals (hitting sets) of a family of bitmask edges.
+
+    Bits of singleton edges are forced; edges they hit, duplicates and
+    supersets of other edges are dropped.  The rest is enumerated by MMCS
+    (Murakami & Uno, DAM 2014) on an explicit stack, branching on the
+    uncovered edge with the fewest candidates; a branch survives iff every
+    chosen bit keeps a private edge.  Each minimal transversal comes out once.
+    """
+    forced = 0
+    for e in edges:
+        if not e & (e - 1):
+            forced |= e
+    live = sorted({e for e in edges if not e & forced}, key=int.bit_count)
+    family: list[int] = []
+    for e in live:
+        if not any(f & e == f for f in family):
+            family.append(e)
+    out = []
+    cand_all = 0
+    for e in family:
+        cand_all |= e
+    stack = [(0, cand_all, family)]
+    while stack:
+        chosen, cand, uncovered = stack.pop()
+        if not uncovered:
+            out.append(forced | chosen)
+            continue
+        branch = min(uncovered, key=lambda e: (e & cand).bit_count()) & cand
+        rest = cand & ~branch
+        todo = branch
+        while todo:
+            v = todo & -todo
+            todo ^= v
+            grown = chosen | v
+            private = 0
+            for e in family:
+                hit = e & grown
+                if not hit & (hit - 1):
+                    private |= hit
+            if private == grown:
+                # later branches may take v again; this one may not take
+                # the members of the branch edge above v
+                stack.append((grown, rest | (branch & (v - 1)),
+                              [e for e in uncovered if not e & v]))
+    return out
 
 
 def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[PowerState]:
-    """Minimal members of the cover family, by choice-function enumeration
-    plus antichain reduction."""
+    """Minimal members of the cover family, sorted canonically.
+
+    A minimal cover is a minimal transversal of the allowed sets over the
+    candidate pairs.  The cover cap bounds the choice functions (the product
+    of the allowed-set sizes), checked before anything is enumerated.
+    """
     fam = cover_family(w, event, ctx)
-    return _antichain_minima(_choice_selections(fam, ctx.guards.max_covers))
+    allowed = [a for (_, a) in fam.obligations]
+    if not allowed:
+        return [frozenset()]
+    if not all(allowed):
+        return []
+    cap = ctx.guards.max_covers
+    choices = 1
+    for a in allowed:
+        choices *= len(a)
+        if choices > cap:
+            raise _cover_guard(fam, "choice-function enumeration", cap)
+    cands = fam.candidate_pairs
+    index = {p: 1 << i for i, p in enumerate(cands)}
+    edges = []
+    for a in allowed:
+        mask = 0
+        for p in a:
+            mask |= index[p]
+        edges.append(mask)
+    # candidate_pairs is sorted, so index order is the _canon order
+    members = sorted(_bits(t) for t in _minimal_transversals(edges))
+    return [frozenset(cands[i] for i in m) for m in members]
 
 
 def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
@@ -292,36 +351,39 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
         raise InputError("unknown variant %r" % variant)
     inits = initial_power_states(ctx)
     events = ctx.plant.alphabet.events
+    ids: dict[PowerState, str] = {}  # each id rendered once, when first reached
     payloads: dict[str, PowerState] = {}
     queue = deque()
     for w in inits:
-        pid = render_pairs(w)
-        if pid not in payloads:
+        if w not in ids:
+            pid = ids[w] = render_pairs(w)
             payloads[pid] = w
             queue.append(w)
     edges = set()
     while queue:
         w = queue.popleft()
-        src = render_pairs(w)
+        src = ids[w]
         for ev in events:
             if not (clause_a(w, ev, ctx) and clause_b(w, ev, ctx)):
                 continue
             if variant == "takai":
                 targets = minimal_covers(w, ev, ctx)
             else:
-                targets = list(n_set_members(w, ev, ctx))
-            for w1 in sorted(targets, key=_canon):
-                tid = render_pairs(w1)
-                edges.add((src, ev, tid))
-                if tid not in payloads:
+                targets = sorted(n_set_members(w, ev, ctx), key=_canon)
+            for w1 in targets:
+                tid = ids.get(w1)
+                if tid is None:
+                    tid = render_pairs(w1)
                     if len(payloads) >= ctx.guards.max_states:
                         raise ExplosionGuardError(
                             "supervisor state cap %d exceeded when reaching %s"
                             % (ctx.guards.max_states, tid))
+                    ids[w1] = tid
                     payloads[tid] = w1
                     queue.append(w1)
+                edges.add((src, ev, tid))
     auto = Automaton(frozenset(payloads), ctx.plant.alphabet, frozenset(edges),
-                     frozenset(render_pairs(w) for w in inits))
+                     frozenset(ids[w] for w in inits))
     return SupervisorAutomaton(auto, payloads, variant, ctx.guards)
 
 

@@ -9,7 +9,8 @@ supervisors.  Slow on purpose; only run at small scales.
 
 import itertools
 
-from simsup import Automaton, compose
+from simsup import Automaton, ExplosionGuardError, compose
+from simsup.synthesis import cover_family, render_pairs
 
 
 def delta(a: Automaton) -> dict:
@@ -81,6 +82,31 @@ def oracle_n_set(w, event, g: Automaton, r: Automaton, w_up) -> list:
 
 def oracle_minimal(sets) -> list:
     return [s for s in sets if not any(t < s for t in sets)]
+
+
+def oracle_minimal_covers_by_choice(w, event, ctx) -> list:
+    """Minimal covers of (w, event) by scanning every choice function (one
+    allowed answer per obligation) and keeping the subset-minimal images.
+    Raises the same guard as minimal_covers once the scan passes the cover
+    cap."""
+    fam = cover_family(w, event, ctx)
+    allowed = [a for (_, a) in fam.obligations]
+    if not allowed:
+        return [frozenset()]
+    cap = ctx.guards.max_covers
+    images = set()
+    for scanned, combo in enumerate(itertools.product(*allowed), 1):
+        if scanned > cap:
+            raise ExplosionGuardError(
+                "choice-function enumeration cap %d exceeded at (%s, %s) with "
+                "%d candidate pairs" % (cap, render_pairs(fam.source), fam.event,
+                                        len(fam.candidate_pairs)))
+        images.add(frozenset(combo))
+    minima = []
+    for cand in sorted(images, key=lambda s: (len(s), sorted(s))):
+        if not any(m <= cand for m in minima):
+            minima.append(cand)
+    return sorted(minima, key=sorted)
 
 
 def oracle_variant2_targets(covers) -> list:

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
                     SynthesisPreconditionError, check_saturated,
-                    check_simulation, compose)
-from simsup.automata import Automaton
+                    check_simulation, compose, synthesis)
+from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
-from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
-                              clause_b, cover_family, in_n_set, in_sp,
+from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
+                              build, clause_a, clause_b, cover_family,
+                              in_n_set, in_sp,
                               initial_power_states, is_admissible,
                               minimal_covers, more_permissive,
                               n_set_members, parse_pairs, payloads_from_ids,
@@ -21,7 +22,8 @@ from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, FORK_S1, W0, W1, W2, W3, W4, W5,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
 from .oracles import (oracle_admissible, oracle_in_sp, oracle_loop_below,
-                      oracle_matchable, oracle_minimal, oracle_n_set,
+                      oracle_matchable, oracle_minimal,
+                      oracle_minimal_covers_by_choice, oracle_n_set,
                       oracle_variant2_targets)
 
 
@@ -144,6 +146,90 @@ def test_n_sets_match_brute_force(seed):
                 assert mine == brute
                 assert set(minimal_covers(w, ev, ctx)) == set(
                     oracle_minimal(list(brute)))
+
+
+def _covers_or_guard(fn, w, ev, ctx):
+    try:
+        return fn(w, ev, ctx)
+    except ExplosionGuardError as exc:
+        return ("guard", str(exc))
+
+
+@pytest.mark.parametrize("seed,nx,nz,max_covers", [
+    (0, 5, 6, 4096), (2, 7, 7, 4096), (6, 5, 6, 4096),
+    (1, 7, 7, 64), (4, 6, 6, 64)])  # the last two trip the cover cap
+def test_minimal_covers_match_choice_oracle_on_builds(monkeypatch, seed, nx,
+                                                      nz, max_covers):
+    # every (W, event) the takai build reaches, guard trips included
+    plant, spec, _ = random_uc_pair(seed, plant_states=nx, spec_states=nz,
+                                    n_events=3, density=1.2 / nx,
+                                    spec_density=1.2 / nz)
+    ctx = SynthesisContext(plant, spec,
+                           Guards(max_states=60, max_covers=max_covers))
+    real = synthesis.minimal_covers
+    outcomes = []
+
+    def checked(w, ev, ctx):
+        got = _covers_or_guard(real, w, ev, ctx)
+        assert got == _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
+        outcomes.append(got)
+        if isinstance(got, tuple):
+            raise ExplosionGuardError(got[1])
+        return got
+
+    monkeypatch.setattr(synthesis, "minimal_covers", checked)
+    try:
+        build(ctx)
+    except ExplosionGuardError:
+        pass
+    assert len(outcomes) >= 25
+
+
+def _brute_minimal_transversals(n, edges):
+    hitting = [s for s in range(1 << n) if all(s & e for e in edges)]
+    return sorted(s for s in hitting if not any(t != s and t & s == t
+                                                for t in hitting))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(min_value=0, max_value=(1 << n) - 1), max_size=7))))
+def test_minimal_transversals_match_brute_force(case):
+    # the edge lists cover singletons, duplicates, nested edges, the empty
+    # edge and the empty family
+    n, edges = case
+    assert sorted(_minimal_transversals(edges)) == \
+        _brute_minimal_transversals(n, edges)
+
+
+def _fan(branches: int, answers: int, max_covers: int) -> SynthesisContext:
+    """W = {(p,z)}: p -a-> q_i for each branch, z -a-> r_j for each answer,
+    so (W, a) has `branches` obligations of `answers` allowed pairs each."""
+    alpha = Alphabet.build(["a"])
+    plant = Automaton.build(alpha, [("p", "a", "q%d" % i)
+                                    for i in range(branches)], ["p"])
+    spec = Automaton.build(alpha, [("z", "a", "r%d" % j)
+                                   for j in range(answers)], ["z"])
+    return SynthesisContext(plant, spec, Guards(max_covers=max_covers))
+
+
+def test_minimal_covers_guard_boundary():
+    w = frozenset({("p", "z")})
+    # 2 x 2 choice functions: the cap is inclusive
+    ctx = _fan(2, 2, 4)
+    covers = minimal_covers(w, "a", ctx)
+    assert len(covers) == 4
+    assert covers == oracle_minimal_covers_by_choice(w, "a", ctx)
+    with pytest.raises(ExplosionGuardError) as exc:
+        minimal_covers(w, "a", _fan(2, 2, 3))
+    assert str(exc.value) == ("choice-function enumeration cap 3 exceeded at "
+                              "({(p,z)}, a) with 4 candidate pairs")
+    # 2^60 choice functions, each one a minimal cover: only a check made
+    # before any enumeration returns
+    with pytest.raises(ExplosionGuardError) as exc:
+        minimal_covers(w, "a", _fan(60, 2, 4096))
+    assert str(exc.value).startswith("choice-function enumeration cap 4096 ")
 
 
 # --- initial states ----------------------------------------------------------
