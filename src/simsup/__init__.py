@@ -29,7 +29,7 @@ from .randgen import (random_alphabet, random_automaton, random_pair,
                       random_uc_pair)
 from .simulation import (Relation, check_simulation, f_step,
                          greatest_uc_fixpoint, is_simulation_relation, pi_g,
-                         project_pi)
+                         project_pi, simulates)
 from .synthesis import (CoverFamily, Guards, SupervisorAutomaton,
                         SynthesisContext, build, clause_a, clause_b,
                         cover_family, in_n_set, in_sp, initial_power_states,
@@ -56,7 +56,7 @@ __all__ = [
     "is_admissible_partial", "minimal_u", "sigma_y", "validate_triple",
     "random_alphabet", "random_automaton", "random_pair", "random_uc_pair",
     "Relation", "check_simulation", "f_step", "greatest_uc_fixpoint",
-    "is_simulation_relation", "pi_g", "project_pi",
+    "is_simulation_relation", "pi_g", "project_pi", "simulates",
     "CoverFamily", "Guards", "SupervisorAutomaton", "SynthesisContext",
     "build", "clause_a", "clause_b", "cover_family", "in_n_set", "in_sp",
     "initial_power_states", "is_admissible", "minimal_covers",

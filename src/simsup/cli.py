@@ -25,9 +25,9 @@ from .errors import (ExplosionGuardError, InputError, RejectionLimitError,
 from .grcheck import CLAUSE_ORDER, check_saturated
 from .partial import build_partial
 from .randgen import random_pair, random_uc_pair
-from .simulation import check_simulation
+from .simulation import check_simulation, simulates
 from .synthesis import (Guards, SupervisorAutomaton, SynthesisContext, build,
-                        in_sp, is_admissible, more_permissive,
+                        closed_loop, loop_admissible, loop_in_sp,
                         payloads_from_ids, prune_deadlocks)
 
 ENV_MAX_STATES = "SIMSUP_MAX_STATES"
@@ -152,14 +152,16 @@ def cmd_verify(args) -> int:
     guards = resolve_guards(args)
     ok_all = True
 
-    admissible, witness = is_admissible(sup_auto, plant)
+    # each closed loop is composed once and serves every check below
+    loop = closed_loop(sup_auto, plant)
+    admissible, witness = loop_admissible(loop, plant)
     print("admissible: %s" % ("yes" if admissible else "no"))
     if not admissible:
         print("  witness: uncontrollable %r disabled at product state (%s,%s)"
               % (witness[1], witness[0].left, witness[0].right))
         ok_all = False
 
-    member = in_sp(sup_auto, plant, spec)
+    member = loop_in_sp(loop, plant, spec)
     print("in SP (admissible and loop below spec): %s" % ("yes" if member else "no"))
     ok_all = ok_all and member
 
@@ -181,9 +183,9 @@ def cmd_verify(args) -> int:
             print("  note: %s" % note)
         ok_all = ok_all and report.verdict == "saturated"
 
-    takai = build(ctx, "takai")
-    below = more_permissive(sup_auto, takai.automaton, plant)
-    above = more_permissive(takai.automaton, sup_auto, plant)
+    takai_loop = closed_loop(build(ctx, "takai").automaton, plant)
+    below = simulates(loop, takai_loop, "full")
+    above = simulates(takai_loop, loop, "full")
     print("loop below takai loop: %s" % ("yes" if below else "no"))
     print("takai loop below this loop (maximality surrogate): %s"
           % ("yes" if above else "no"))

@@ -11,7 +11,7 @@ import random
 
 from .automata import Alphabet, Automaton
 from .errors import InputError, RejectionLimitError
-from .simulation import check_simulation
+from .simulation import simulates
 
 
 def random_alphabet(rng: random.Random, n_events: int,
@@ -65,7 +65,7 @@ def random_uc_pair(seed: int, max_rejects: int = 500,
     the accepted pair is a pure function of the arguments."""
     for attempt in range(max_rejects):
         plant, spec = random_pair(seed * 1_000_003 + attempt, **kwargs)
-        if check_simulation(plant, spec, "uc") is not None:
+        if simulates(plant, spec, "uc"):
             return plant, spec, attempt + 1
     raise RejectionLimitError(
         "no uc-similar pair within %d attempts for seed %d" % (max_rejects, seed))

@@ -5,7 +5,9 @@ application iff every obligation of x (a transition under a tracked event) can
 be answered by z inside the current relation.  Iterating from the full product
 X x Z yields the greatest fixpoint; restricting the tracked events to the
 uncontrollable ones gives the relation driving supervisor existence, tracking
-the whole alphabet gives ordinary simulation.
+the whole alphabet gives ordinary simulation.  The fixpoint is computed over
+indexed states, one bitmask row per plant state, and pairs are rendered as
+string tuples only when a Relation is returned.
 """
 
 from __future__ import annotations
@@ -98,21 +100,132 @@ def f_step(g: Automaton, r: Automaton, rel: Relation) -> Relation:
     return Relation(pairs, left=rel.left, right=rel.right)
 
 
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Fixpoint:
+    """A greatest fixpoint as one bitmask row per left state: bit j of
+    rows[i] relates left[i] to right[j].  len() counts its pairs."""
+
+    __slots__ = ("left", "right", "rows")
+
+    def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
+                 rows: list[int]):
+        self.left, self.right, self.rows = left, right, rows
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self.rows)
+
+    def pairs(self) -> frozenset[Pair]:
+        right = self.right
+        return frozenset((x, right[j]) for x, row in zip(self.left, self.rows)
+                         for j in bit_positions(row))
+
+    def relates_initial(self, g: Automaton, r: Automaton) -> bool:
+        """Every initial g-state is related to some initial r-state."""
+        index = {z: j for j, z in enumerate(self.right)}
+        start = 0
+        for z0 in r.initial:
+            start |= 1 << index[z0]
+        rows = dict(zip(self.left, self.rows))
+        return all(rows[x0] & start for x0 in g.initial)
+
+
 def _greatest_fixpoint(g: Automaton, r: Automaton,
-                       events: tuple[str, ...]) -> frozenset[Pair]:
-    # stabilizes within |X|*|Z| rounds; each round removes >= 1 pair or stops
-    current = frozenset((x, z) for x in g.sorted_states for z in r.sorted_states)
-    while True:
-        nxt = _step_pairs(g, r, current, events)
-        if nxt == current:
-            return current
-        current = nxt
+                       events: tuple[str, ...]) -> _Fixpoint:
+    """Greatest simulation of g by r over the tracked events, by worklist
+    refinement on bitmask rows (Henzinger, Henzinger & Kopke, FOCS 1995).
+
+    remove[k][x1] holds the spec states that can do events[k] but have no
+    events[k]-successor left in rows[x1]; they are taken out of the row of
+    every events[k]-predecessor of x1.  Each pair is removed at most once.
+    """
+    xs, zs = g.sorted_states, r.sorted_states
+    xi = {x: i for i, x in enumerate(xs)}
+    zi = {z: j for j, z in enumerate(zs)}
+    rows = [(1 << len(zs)) - 1] * len(xs)
+    gpred, zsucc, zpred, enables = [], [], [], []
+    for ev in events:
+        succ = [0] * len(zs)
+        pred = [0] * len(zs)
+        has = 0
+        for j, z in enumerate(zs):
+            for z1 in r.succ.get((z, ev), ()):
+                succ[j] |= 1 << zi[z1]
+                pred[zi[z1]] |= 1 << j
+            if succ[j]:
+                has |= 1 << j
+        into = [[] for _ in xs]
+        for i, x in enumerate(xs):
+            x1s = g.succ.get((x, ev))
+            if x1s:
+                rows[i] &= has
+                for x1 in x1s:
+                    into[xi[x1]].append(i)
+        gpred.append(into)
+        zsucc.append(succ)
+        zpred.append(pred)
+        enables.append(has)
+
+    def pre(k: int, mask: int) -> int:
+        out = 0
+        pred = zpred[k]
+        for j in bit_positions(mask):
+            out |= pred[j]
+        return out
+
+    # initial rows take at most 2**len(events) values, so pre is memoized
+    remove, todo = [], []
+    for k, (has, into) in enumerate(zip(enables, gpred)):
+        memo = {}
+        gone = [0] * len(xs)
+        for i, row in enumerate(rows):
+            if into[i]:
+                if row not in memo:
+                    memo[row] = has & ~pre(k, row)
+                if memo[row]:
+                    gone[i] = memo[row]
+                    todo.append((k, i))
+        remove.append(gone)
+    # events with some transition into x: only their remove rows are read
+    entered = [[k for k in range(len(events)) if gpred[k][i]]
+               for i in range(len(xs))]
+
+    while todo:
+        k, x1 = todo.pop()
+        gone = remove[k][x1]
+        remove[k][x1] = 0
+        for x in gpred[k][x1]:
+            row = rows[x]
+            lost = row & gone
+            if not lost:
+                continue
+            row ^= lost
+            rows[x] = row
+            for k2 in entered[x]:
+                succ = zsucc[k2]
+                add = 0
+                for j in bit_positions(pre(k2, lost)):
+                    if not succ[j] & row:
+                        add |= 1 << j
+                if add:
+                    if not remove[k2][x]:
+                        todo.append((k2, x))
+                    remove[k2][x] |= add
+    return _Fixpoint(xs, zs, rows)
 
 
 def greatest_uc_fixpoint(g: Automaton, r: Automaton) -> Relation:
     """Greatest fixpoint of f_step, computed from the full product downward."""
     _require_shared_alphabet(g, r)
-    return Relation(_greatest_fixpoint(g, r, _tracked(g, "uc")),
+    return Relation(_greatest_fixpoint(g, r, _tracked(g, "uc")).pairs(),
                     left="plant", right="spec")
 
 
@@ -124,11 +237,17 @@ def check_simulation(g: Automaton, r: Automaton, mode: str = "full") -> Relation
     greatest simulation relation.
     """
     _require_shared_alphabet(g, r)
-    pairs = _greatest_fixpoint(g, r, _tracked(g, mode))
-    for x0 in g.initial:
-        if not any((x0, z0) in pairs for z0 in r.initial):
-            return None
-    return Relation(pairs, left="plant", right="spec")
+    fix = _greatest_fixpoint(g, r, _tracked(g, mode))
+    if not fix.relates_initial(g, r):
+        return None
+    return Relation(fix.pairs(), left="plant", right="spec")
+
+
+def simulates(g: Automaton, r: Automaton, mode: str = "full") -> bool:
+    """Whether r (uc-)simulates g: check_simulation's verdict, read off the
+    fixpoint rows without building the relation."""
+    _require_shared_alphabet(g, r)
+    return _greatest_fixpoint(g, r, _tracked(g, mode)).relates_initial(g, r)
 
 
 def is_simulation_relation(rel: Relation, g: Automaton, r: Automaton,

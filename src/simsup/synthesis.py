@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .automata import (Automaton, compose, is_deadlock, split_product_id,
                        split_top_level)
 from .errors import ExplosionGuardError, InputError, SynthesisPreconditionError
-from .simulation import Pair, check_simulation, greatest_uc_fixpoint
+from .simulation import Pair, bit_positions, greatest_uc_fixpoint, simulates
 
 PowerState = frozenset  # of Pair
 
@@ -66,12 +66,16 @@ def parse_pairs(text: str) -> PowerState:
 
 @dataclass(frozen=True)
 class SynthesisContext:
-    """Shared synthesis state: plant, spec, guard caps, and the greatest
-    matching fixpoint (computed once, cached)."""
+    """Shared synthesis state: plant, spec, guard caps, the greatest
+    matching fixpoint (computed once, cached), and the minimal covers per
+    (W, event) that check_saturated computed, which a later takai build
+    reuses."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
+    covers_memo: dict[tuple[PowerState, str], list[PowerState]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.plant.alphabet != self.spec.alphabet:
@@ -208,16 +212,6 @@ def in_n_set(w: PowerState, event: str, target: PowerState,
     return all(target & frozenset(a) for (_, a) in fam.obligations)
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _minimal_transversals(edges: list[int]) -> list[int]:
     """Minimal transversals (hitting sets) of a family of bitmask edges.
 
@@ -294,7 +288,7 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
             mask |= index[p]
         edges.append(mask)
     # candidate_pairs is sorted, so index order is the _canon order
-    members = sorted(_bits(t) for t in _minimal_transversals(edges))
+    members = sorted(bit_positions(t) for t in _minimal_transversals(edges))
     return [frozenset(cands[i] for i in m) for m in members]
 
 
@@ -367,7 +361,11 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
             if not (clause_a(w, ev, ctx) and clause_b(w, ev, ctx)):
                 continue
             if variant == "takai":
-                targets = minimal_covers(w, ev, ctx)
+                # read, not filled: a build meets each (W, e) once, and
+                # keeping every cover list would hold them all to the end
+                targets = ctx.covers_memo.get((w, ev))
+                if targets is None:
+                    targets = minimal_covers(w, ev, ctx)
             else:
                 targets = sorted(n_set_members(w, ev, ctx), key=_canon)
             for w1 in targets:
@@ -403,34 +401,47 @@ def prune_deadlocks(sup: SupervisorAutomaton) -> SupervisorAutomaton:
                                sup.guards, sup.notes)
 
 
+def closed_loop(s: Automaton, g: Automaton) -> Automaton:
+    """The closed loop S||G of a supervisor and its plant."""
+    if s.alphabet != g.alphabet:
+        raise InputError("supervisor and plant must share one alphabet")
+    return compose(s, g)
+
+
+def loop_admissible(loop: Automaton, g: Automaton):
+    """is_admissible over an already composed closed loop S||G."""
+    uc = sorted(g.alphabet.uncontrollable)
+    for pid in loop.sorted_states:
+        pair = split_product_id(pid)
+        for ev in uc:
+            if g.succ.get((pair.right, ev)) and not loop.succ.get((pid, ev)):
+                return False, (pair, ev)
+    return True, None
+
+
 def is_admissible(s: Automaton, g: Automaton):
     """Whether the closed loop never disables an uncontrollable plant move.
 
     Returns (True, None) or (False, ((y,x), event)) with the lexicographically
     least reachable violation.
     """
-    if s.alphabet != g.alphabet:
-        raise InputError("supervisor and plant must share one alphabet")
-    prod = compose(s, g)
-    uc = sorted(g.alphabet.uncontrollable)
-    for pid in prod.sorted_states:
-        pair = split_product_id(pid)
-        for ev in uc:
-            if g.succ.get((pair.right, ev)) and not prod.succ.get((pid, ev)):
-                return False, (pair, ev)
-    return True, None
+    return loop_admissible(closed_loop(s, g), g)
+
+
+def loop_in_sp(loop: Automaton, g: Automaton, r: Automaton) -> bool:
+    """in_sp over an already composed closed loop S||G."""
+    return loop_admissible(loop, g)[0] and simulates(loop, r, "full")
 
 
 def in_sp(s: Automaton, g: Automaton, r: Automaton) -> bool:
     """Supervisor membership: admissible and the closed loop is simulated by
     the spec."""
-    ok, _ = is_admissible(s, g)
-    return ok and check_simulation(compose(s, g), r, "full") is not None
+    return loop_in_sp(closed_loop(s, g), g, r)
 
 
 def more_permissive(s1: Automaton, s2: Automaton, g: Automaton) -> bool:
     """True iff s2's closed loop simulates s1's: s1||G below s2||G."""
-    return check_simulation(compose(s1, g), compose(s2, g), "full") is not None
+    return simulates(compose(s1, g), compose(s2, g), "full")
 
 
 def supervisor_from_pair_sets(alphabet, initial_sets, edges, tag: str = "user",

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from simsup import format_automaton, load_automaton
+from simsup import (check_simulation, compose, format_automaton,
+                    is_simulation_relation, load_automaton)
 from simsup.cli import main, resolve_guards, build_parser
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT, FORK_SPEC, FORK_S1
+from .pool import uc_instance
 
 
 @pytest.fixture
@@ -153,6 +155,35 @@ def test_verify_built_supervisor_passes(chain_files, capsys):
     report = capsys.readouterr().out
     assert "admissible: yes" in report
     assert "verdict: saturated" in report
+
+
+def _pool_files(tmp_path, draw):
+    plant, spec, _ = uc_instance(draw)
+    g = tmp_path / "g.aut"
+    r = tmp_path / "r.aut"
+    g.write_text(format_automaton(plant))
+    r.write_text(format_automaton(spec))
+    return str(g), str(r), str(tmp_path / "sup")
+
+
+def test_verify_pool_draw_2_completes(tmp_path, capsys):
+    # its closed loop has 2382 states; verify compares it with the takai
+    # loop both ways, 5.7 M candidate pairs per direction
+    g, r, out = _pool_files(tmp_path, 2)
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    assert main(["verify", out + ".aut", g, r]) == 0
+    assert "takai loop below this loop (maximality surrogate): yes" in \
+        capsys.readouterr().out
+
+
+def test_loop_against_itself_is_a_simulation_relation(tmp_path):
+    # pool draw 68: a 455-state closed loop, 158700 of 207025 pairs kept
+    g, r, out = _pool_files(tmp_path, 68)
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    loop = compose(load_automaton(out + ".aut"), load_automaton(g))
+    rel = check_simulation(loop, loop, "full")
+    assert len(rel) == 158700
+    assert is_simulation_relation(rel, loop, loop, "full") == (True, None)
 
 
 def test_verify_plain_supervisor_fails_permissiveness(tmp_path, capsys):

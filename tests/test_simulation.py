@@ -8,10 +8,11 @@ from simsup import (InputError, Relation, check_simulation, compose, f_step,
                     greatest_uc_fixpoint, is_simulation_relation, pi_g,
                     project_pi)
 from simsup.randgen import random_pair
+from simsup.simulation import _greatest_fixpoint, _tracked, bit_positions
 
 from .fixtures import (CHAIN_PLANT, CHAIN_SPEC, CHAIN_W_UP, FORK_PLANT,
                        FORK_SPEC, chain_sup_b)
-from .oracles import oracle_greatest_simulation
+from .oracles import oracle_check_simulation, oracle_greatest_simulation
 
 
 def full_relation(g, r):
@@ -112,14 +113,36 @@ def test_pi_g_projection():
 
 # --- randomized properties ---------------------------------------------------
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_fixpoint_matches_oracle(seed):
-    plant, spec = random_pair(seed, plant_states=4, spec_states=4, n_events=2)
-    mine = greatest_uc_fixpoint(plant, spec).pairs
-    theirs = oracle_greatest_simulation(
-        plant, spec, sorted(plant.alphabet.uncontrollable))
-    assert mine == theirs
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(("uc", "full")), st.integers(1, 7), st.integers(1, 7),
+       st.floats(0.05, 0.5), st.integers(1, 2))
+def test_fixpoint_matches_oracle(seed, mode, nx, nz, density, n_initial):
+    # up to three events; densities above 1/n give nondeterministic moves
+    plant, spec = random_pair(seed, plant_states=nx, spec_states=nz,
+                              n_events=3, density=density,
+                              n_initial=n_initial)
+    events = _tracked(plant, mode)
+    theirs = oracle_greatest_simulation(plant, spec, events)
+    fix = _greatest_fixpoint(plant, spec, events)
+    assert fix.pairs() == theirs
+    assert len(fix) == len(theirs)
+    if mode == "uc":
+        assert greatest_uc_fixpoint(plant, spec).pairs == theirs
+    rel = check_simulation(plant, spec, mode)
+    assert (rel is not None) == oracle_check_simulation(plant, spec, mode)
+    if rel is not None:
+        assert rel.pairs == theirs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), max_size=n)))
+def test_bit_positions(bits):
+    mask = 0
+    for b in bits:
+        mask |= 1 << b
+    assert bit_positions(mask) == sorted(set(bits))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
                     SynthesisPreconditionError, check_saturated,
-                    check_simulation, compose, synthesis)
+                    check_simulation, compose, grcheck, synthesis)
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
@@ -21,10 +21,11 @@ from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
 from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, FORK_S1, W0, W1, W2, W3, W4, W5,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
-from .oracles import (oracle_admissible, oracle_in_sp, oracle_loop_below,
-                      oracle_matchable, oracle_minimal,
-                      oracle_minimal_covers_by_choice, oracle_n_set,
-                      oracle_variant2_targets)
+from .oracles import (oracle_admissible, oracle_greatest_simulation,
+                      oracle_in_sp, oracle_loop_below, oracle_matchable,
+                      oracle_minimal, oracle_minimal_covers_by_choice,
+                      oracle_n_set, oracle_variant2_targets)
+from .pool import uc_instance
 
 
 def chain_ctx(**kw):
@@ -232,6 +233,49 @@ def test_minimal_covers_guard_boundary():
     assert str(exc.value).startswith("choice-function enumeration cap 4096 ")
 
 
+def test_minimal_covers_memo_shared_by_check_saturated_and_build(monkeypatch):
+    sup = build(fork_ctx())
+    calls = []
+    real = synthesis.minimal_covers
+
+    def counted(w, event, ctx):
+        calls.append((w, event))
+        return real(w, event, ctx)
+
+    monkeypatch.setattr(synthesis, "minimal_covers", counted)
+    monkeypatch.setattr(grcheck, "minimal_covers", counted)
+    # verify's order: check_saturated fills the memo, the takai build reads it
+    ctx = fork_ctx()
+    assert check_saturated(sup, FORK_PLANT, FORK_SPEC, ctx).verdict == "saturated"
+    assert calls and len(set(calls)) == len(calls) == len(ctx.covers_memo)
+    assert build(ctx).automaton == sup.automaton
+    assert len(calls) == len(ctx.covers_memo)
+    for (w, ev), covers in ctx.covers_memo.items():
+        assert covers == real(w, ev, fork_ctx())
+    # a build alone leaves the memo empty
+    fresh = fork_ctx()
+    build(fresh)
+    assert not fresh.covers_memo
+
+
+def test_minimal_covers_memo_skips_guard_trips():
+    ctx = _fan(2, 2, 3)
+    w = frozenset({("p", "z")})
+    cover = frozenset({("q0", "r0"), ("q1", "r0")})
+    sup = supervisor_from_pair_sets(ctx.plant.alphabet, [w], [(w, "a", cover)])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ExplosionGuardError) as exc:
+            check_saturated(sup, ctx.plant, ctx.spec, ctx)
+        messages.append(str(exc.value))
+    with pytest.raises(ExplosionGuardError) as exc:
+        build(ctx)
+    messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+    assert messages[0].startswith("choice-function enumeration cap 3 ")
+    assert not ctx.covers_memo
+
+
 # --- initial states ----------------------------------------------------------
 
 def test_initial_power_states_chain():
@@ -364,6 +408,43 @@ def test_more_permissive_chain_a_vs_b():
 
 def test_fork_s1_not_below_a1():
     assert not more_permissive(FORK_S1, fork_sup_a1().automaton, FORK_PLANT)
+
+
+def test_loop_fixpoints_match_oracle_on_pool():
+    # closed loops of takai, variant1 and pruned takai builds compared with
+    # each other both ways: removals must propagate back through chains of
+    # loop states, unlike the plant x spec fixpoint of the builds themselves
+    compared = shrunk = 0
+    for seed in range(500):
+        plant, spec, _ = uc_instance(seed)
+        ctx = SynthesisContext(plant, spec)
+        takai = build(ctx, "takai")
+        loops = {"takai": compose(takai.automaton, plant)}
+        if len(loops["takai"].states) > 60:
+            continue
+        try:
+            others = [build(ctx, "variant1"), prune_deadlocks(takai)]
+        except ExplosionGuardError:
+            continue
+        for sup in others:
+            loops[sup.construction_tag] = compose(sup.automaton, plant)
+        if any(len(loop.states) > 60 for loop in loops.values()):
+            continue
+        for other in others:
+            for s1, s2 in ((takai, other), (other, takai)):
+                a = loops[s1.construction_tag]
+                b = loops[s2.construction_tag]
+                expected = oracle_greatest_simulation(a, b, a.alphabet.events)
+                below = oracle_loop_below(s1.automaton, s2.automaton, plant)
+                rel = check_simulation(a, b, "full")
+                assert (rel is not None) == below, seed
+                if rel is not None:
+                    assert rel.pairs == expected, seed
+                assert more_permissive(s1.automaton, s2.automaton,
+                                       plant) == below, seed
+                compared += 1
+                shrunk += len(expected) < len(a.states) * len(b.states)
+    assert compared > 1000 and shrunk > 100
 
 
 # --- assembly helpers --------------------------------------------------------
