@@ -14,11 +14,13 @@ lexicographically least witness per offence, in fixed clause order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .automata import Automaton, reachable
 from .errors import InputError
 from .synthesis import (SupervisorAutomaton, SynthesisContext, clause_a,
-                        clause_b, in_n_set, initial_power_states,
+                        clause_b, cover_family, initial_power_states,
                         minimal_covers, render_pairs)
 
 CLAUSE_ORDER = ("state", "istate", "6-a", "6-b", "sistate", "6-c")
@@ -127,11 +129,14 @@ def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                     and not auto.succ.get((sid, ev)):
                 failures.append(ClauseFailure("6-a", (sid, ev)))
 
-    for (src, ev, tgt) in sorted(auto.transitions):
+    # one cover family per (source, event): sorted edges come grouped by it
+    for (src, ev), group in groupby(sorted(auto.transitions), key=itemgetter(0, 1)):
         if src not in live or not valid.get(src):
             continue
-        if not in_n_set(payloads[src], ev, payloads[tgt], ctx):
-            failures.append(ClauseFailure("6-b", (src, ev, tgt)))
+        fam = cover_family(payloads[src], ev, ctx)
+        for (_, _, tgt) in group:
+            if not fam.admits(payloads[tgt]):
+                failures.append(ClauseFailure("6-b", (src, ev, tgt)))
 
     verdict = "not-gr" if failures else "gr-unsaturated"
     return GrReport(verdict, failures, warnings)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError, InputError, InternalConsistencyError
+from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _canon, _matchable, clause_a,
+                        SynthesisContext, _matchable, clause_a,
                         initial_power_states, is_admissible, minimal_covers,
                         render_pairs)
 
@@ -51,45 +52,53 @@ def gamma_candidates(alphabet: Alphabet) -> list[frozenset[str]]:
     return sorted(out, key=lambda g: tuple(sorted(g)))
 
 
-def _first_unmet(w: PowerState, gamma: frozenset[str], ctx: SynthesisContext):
-    """Least obligation of w under the masked events left unanswered in w."""
-    gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
-    for (x, z) in _canon(w):
-        for ev in sorted(gamma):
-            zs = rsucc.get((z, ev), ())
-            for x1 in gsucc.get((x, ev), ()):
-                if not any((x1, z1) in w for z1 in zs):
-                    return (x, z, ev, x1)
-    return None
-
-
-def _antichain_minima(sets: list[PowerState]) -> list[PowerState]:
-    """Subset-minimal members, lexicographically least representative first."""
-    minima: list[PowerState] = []
-    for cand in sorted(set(sets), key=lambda s: (len(s), _canon(s))):
-        if not any(m <= cand for m in minima):
-            minima.append(cand)
-    return sorted(minima, key=_canon)
+def _obligation_rows(gamma: frozenset[str], ctx: SynthesisContext) -> list:
+    """One row per fixpoint pair, in pair-bit order: the pair's obligations
+    under the masked events (sorted events, then plant successors), each as
+    (answer mask, answer bits in spec-successor order).  Cached per gamma."""
+    rows = ctx.closure_rows.get(gamma)
+    if rows is None:
+        gsucc, rsucc, bit = ctx.plant.succ, ctx.spec.succ, ctx.pair_bit
+        events = sorted(gamma)
+        rows = ctx.closure_rows[gamma] = []
+        for (x, z) in ctx.fixpoint_pairs:
+            row = []
+            for ev in events:
+                zs = rsucc.get((z, ev), ())
+                for x1 in gsucc.get((x, ev), ()):
+                    answers = tuple(bit[(x1, z1)] for z1 in zs if (x1, z1) in bit)
+                    row.append((sum(answers), answers))  # distinct bits
+            rows.append(row)
+    return rows
 
 
 def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     """Minimal supersets of w1 within the fixpoint closed under gamma-labeled
     obligations; empty when no closure exists inside the fixpoint.
 
-    Branches over the per-obligation answer choices, closing each branch to a
-    fixpoint, then antichain-reduces the closures.
+    Branches over the answers to the least unmet obligation, closing each
+    branch to a fixpoint, then antichain-reduces the closures.  Works over
+    pair bitmasks; closures are interned on the context.
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
     if not w1 <= ctx.w_up:
         raise InputError("W1 must lie inside the greatest matching fixpoint")
+    rows = _obligation_rows(gamma, ctx)
+    bit = ctx.pair_bit
+    root = 0
+    for pair in w1:
+        root |= bit[pair]
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
     seen = set()
-    stack = [w1]
+    # (mask, least pair index that may hold an unmet obligation): adding a
+    # pair never un-answers an obligation, so a child rescans from the lesser
+    # of its parent's unmet pair and the pair it added
+    stack = [(root, 0)]
     while stack:
-        w = stack.pop()
+        w, start = stack.pop()
         if w in seen:
             continue
         seen.add(w)
@@ -98,17 +107,37 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             raise ExplosionGuardError(
                 "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
                 % (cap, render_pairs(w1), ",".join(sorted(gamma))))
-        ob = _first_unmet(w, gamma, ctx)
-        if ob is None:
+        answers = None
+        todo = w >> start << start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            at = low.bit_length() - 1
+            for mask, bits in rows[at]:
+                if not w & mask:
+                    answers = bits
+                    break
+            if answers is not None:
+                break
+        if answers is None:
             closed.append(w)
             continue
-        (x, z, ev, x1) = ob
-        answers = [(x1, z1) for z1 in ctx.spec.succ.get((z, ev), ())
-                   if (x1, z1) in ctx.w_up]
-        for pair in answers:
-            stack.append(w | {pair})
+        for b in answers:
+            stack.append((w | b, min(at, b.bit_length() - 1)))
         # no answers: the branch dies, no closure through this obligation
-    return _antichain_minima(closed)
+    minima: list[int] = []
+    for cand in sorted(closed, key=int.bit_count):
+        if not any(m & cand == m for m in minima):
+            minima.append(cand)
+    minima.sort(key=bit_positions)  # the sorted-pairs order
+    pairs, interned = ctx.fixpoint_pairs, ctx.closures
+    out = []
+    for m in minima:
+        w2 = w1 if m == root else interned.get(m)
+        if w2 is None:
+            w2 = interned[m] = frozenset(pairs[i] for i in bit_positions(m))
+        out.append(w2)
+    return out
 
 
 def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:
@@ -167,42 +196,43 @@ def build_partial(plant: Automaton, spec: Automaton,
     """
     ctx = SynthesisContext(plant, spec, guards)
     gammas = gamma_candidates(plant.alphabet)
-    inits = []
+    # core -> ids of its completions: each core is completed once, and since
+    # a triple holds its core, a core met again only adds edges
+    completed: dict[PowerState, list[str]] = {}
+    inits: dict[str, TripleState] = {}
     for w01 in initial_power_states(ctx):
-        inits.extend(_completions(w01, gammas, ctx))
-    tids: dict[TripleState, str] = {}  # each id rendered once, when first reached
-    payloads: dict[str, TripleState] = {}
-    queue = deque()
-    for y in sorted(inits, key=lambda t: t.tid):
-        if y not in tids:
-            tid = tids[y] = y.tid
-            payloads[tid] = y
-            queue.append(y)
-    if not payloads:
+        ys = _completions(w01, gammas, ctx)
+        completed[w01] = [y.tid for y in ys]
+        inits.update(zip(completed[w01], ys))
+    if not inits:
         # the minimal mask always closes inside the fixpoint, so this cannot fire
         raise InternalConsistencyError("no admissible initial triple")
+    payloads = {tid: inits[tid] for tid in sorted(inits)}
+    queue = deque(payloads)
     edges = set()
     while queue:
-        y = queue.popleft()
-        src = tids[y]
+        src = queue.popleft()
+        y = payloads[src]
         for ev in sorted(y.gamma_uo):
             edges.add((src, ev, src))
         for ev in sigma_y(y, ctx):
             for w1 in minimal_covers(y.w2, ev, ctx):
-                for y1 in _completions(w1, gammas, ctx):
-                    tid = tids.get(y1)
-                    if tid is None:
+                targets = completed.get(w1)
+                if targets is None:
+                    targets = completed[w1] = []
+                    for y1 in _completions(w1, gammas, ctx):
                         tid = y1.tid
                         if len(payloads) >= ctx.guards.max_states:
                             raise ExplosionGuardError(
                                 "supervisor state cap %d exceeded when reaching %s"
                                 % (ctx.guards.max_states, tid))
-                        tids[y1] = tid
                         payloads[tid] = y1
-                        queue.append(y1)
+                        queue.append(tid)
+                        targets.append(tid)
+                for tid in targets:
                     edges.add((src, ev, tid))
     auto = Automaton(frozenset(payloads), plant.alphabet, frozenset(edges),
-                     frozenset(tids[y] for y in inits))
+                     frozenset(inits))
     notes = ()
     if plant.alphabet.unobservable:
         notes = ("successor observation masks are not pinned by the step rule; "

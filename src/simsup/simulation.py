@@ -265,12 +265,22 @@ def is_simulation_relation(rel: Relation, g: Automaton, r: Automaton,
         for x0 in sorted(g.initial):
             if not any((x0, z0) in rel.pairs for z0 in sorted(r.initial)):
                 return False, ("initial", x0)
-    for (x, z) in sorted(rel.pairs):
+    pairs = rel.pairs
+
+    def unanswered(x, z):
         for ev in events:
             zs = r.succ.get((z, ev), ())
             for x1 in g.succ.get((x, ev), ()):
-                if not any((x1, z1) in rel.pairs for z1 in zs):
-                    return False, ("step", (x, z), ev, x1)
+                if not any((x1, z1) in pairs for z1 in zs):
+                    return ("step", (x, z), ev, x1)
+        return None
+
+    # pairs are sorted only when some violation exists, to find the least
+    if any(unanswered(x, z) for (x, z) in pairs):
+        for (x, z) in sorted(pairs):
+            witness = unanswered(x, z)
+            if witness:
+                return False, witness
     return True, None
 
 

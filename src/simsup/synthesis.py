@@ -67,14 +67,19 @@ def parse_pairs(text: str) -> PowerState:
 @dataclass(frozen=True)
 class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, the greatest
-    matching fixpoint (computed once, cached), and the minimal covers per
-    (W, event) that check_saturated computed, which a later takai build
-    reuses."""
+    matching fixpoint (computed once, cached) and its pairs numbered as
+    bits, the minimal covers per (W, event) that check_saturated computed,
+    which a later takai build reuses, and the partial build's closure
+    obligations per unobservable mask and closures interned by bitmask."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
     covers_memo: dict[tuple[PowerState, str], list[PowerState]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    closure_rows: dict[frozenset[str], list] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    closures: dict[int, PowerState] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,6 +89,17 @@ class SynthesisContext:
     @cached_property
     def w_up(self) -> frozenset[Pair]:
         return greatest_uc_fixpoint(self.plant, self.spec).pairs
+
+    @cached_property
+    def fixpoint_pairs(self) -> tuple[Pair, ...]:
+        """The fixpoint pairs in sorted order; bit i of a pair mask stands
+        for the i-th, so masks sort by bit positions as PowerStates sort by
+        their sorted pairs."""
+        return _canon(self.w_up)
+
+    @cached_property
+    def pair_bit(self) -> dict[Pair, int]:
+        return {p: 1 << i for i, p in enumerate(self.fixpoint_pairs)}
 
     @cached_property
     def uncontrollable(self) -> frozenset[str]:
@@ -104,6 +120,16 @@ class CoverFamily:
     event: str
     obligations: tuple[tuple[tuple[str, str, str], tuple[Pair, ...]], ...]
     candidate_pairs: tuple[Pair, ...]
+
+    @cached_property
+    def _pool(self) -> frozenset[Pair]:
+        return frozenset(self.candidate_pairs)
+
+    def admits(self, target: PowerState) -> bool:
+        """Membership of a pair set in the family, without enumeration:
+        drawn from the candidate pairs and answering every obligation."""
+        return target <= self._pool and all(
+            not target.isdisjoint(a) for (_, a) in self.obligations)
 
 
 def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamily:
@@ -205,11 +231,7 @@ def _enumerate_covers(fam: CoverFamily, cap: int):
 def in_n_set(w: PowerState, event: str, target: PowerState,
              ctx: SynthesisContext) -> bool:
     """Membership test for the cover family, without enumeration."""
-    fam = cover_family(w, event, ctx)
-    target = frozenset(target)
-    if not target <= set(fam.candidate_pairs):
-        return False
-    return all(target & frozenset(a) for (_, a) in fam.obligations)
+    return cover_family(w, event, ctx).admits(frozenset(target))
 
 
 def _minimal_transversals(edges: list[int]) -> list[int]:

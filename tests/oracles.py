@@ -161,6 +161,52 @@ def oracle_minimal_u(w1, gamma, g: Automaton, r: Automaton, w_up) -> list:
     return oracle_minimal(closures)
 
 
+def oracle_minimal_u_by_branching(w1, gamma, ctx) -> list:
+    """Minimal gamma-closed supersets of w1 inside the fixpoint, by the
+    string-pair branching search: depth-first over the answers to the least
+    unmet obligation (sorted pairs, sorted events, plant successors), each
+    branch closed to a fixpoint, then antichain-reduced and sorted.  Raises
+    the same guard as minimal_u once it explores more than the cover cap."""
+    gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
+    w1, gamma = frozenset(w1), frozenset(gamma)
+
+    def first_unmet(w):
+        for (x, z) in sorted(w):
+            for ev in sorted(gamma):
+                zs = rsucc.get((z, ev), ())
+                for x1 in gsucc.get((x, ev), ()):
+                    if not any((x1, z1) in w for z1 in zs):
+                        return (z, ev, x1)
+        return None
+
+    cap = ctx.guards.max_covers
+    explored = 0
+    closed, seen, stack = [], set(), [w1]
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        explored += 1
+        if explored > cap:
+            raise ExplosionGuardError(
+                "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
+                % (cap, render_pairs(w1), ",".join(sorted(gamma))))
+        ob = first_unmet(w)
+        if ob is None:
+            closed.append(w)
+            continue
+        (z, ev, x1) = ob
+        for z1 in rsucc.get((z, ev), ()):
+            if (x1, z1) in ctx.w_up:
+                stack.append(w | {(x1, z1)})
+    minima = []
+    for cand in sorted(closed, key=lambda s: (len(s), sorted(s))):
+        if not any(m <= cand for m in minima):
+            minima.append(cand)
+    return sorted(minima, key=sorted)
+
+
 def all_supervisors(alphabet, n_states: int):
     """Every supervisor shape with exactly n_states states: initial {y0},
     one target subset per (state, event) slot.  Yields Automaton objects."""

@@ -6,11 +6,12 @@ from simsup import InputError
 from simsup.automata import Automaton
 from simsup.grcheck import CLAUSE_ORDER, check_gr, check_saturated
 from simsup.synthesis import (Guards, SupervisorAutomaton, SynthesisContext,
-                              build, supervisor_from_pair_sets)
+                              build, in_n_set, supervisor_from_pair_sets)
 
 from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, W0, W1, W2, W3, W5, chain_sup_a,
                        chain_sup_b, chain_sup_c, fork_sup_a1)
+from .pool import uc_instance
 
 
 def chain_ctx():
@@ -83,6 +84,24 @@ def test_6b_edge_outside_cover_family():
     fails = report.failures_for("6-b")
     assert fails
     assert fails[0].witness == ("{(x0,z0)}", "sigma", "{(x3,z4)}")
+
+
+@pytest.mark.parametrize("seed", [4, 11, 22, 31])
+def test_6b_failures_match_per_edge_membership(seed):
+    # every edge between the takai states: many (source, event) groups hold
+    # both members and non-members of their cover family
+    plant, spec, _ = uc_instance(seed)
+    ctx = SynthesisContext(plant, spec, Guards())
+    states = list(build(ctx).payloads.values())
+    events = plant.alphabet.events
+    sup = supervisor_from_pair_sets(
+        plant.alphabet, states[:1],
+        [(a, ev, b) for a in states for ev in events for b in states])
+    pay = sup.payloads
+    expected = [(src, ev, tgt) for (src, ev, tgt) in sorted(sup.automaton.transitions)
+                if not in_n_set(pay[src], ev, pay[tgt], ctx)]
+    got = [f.witness for f in check_gr(sup, plant, spec, ctx).failures_for("6-b")]
+    assert got == expected and 0 < len(expected) < len(sup.automaton.transitions)
 
 
 def test_unreachable_states_warn_not_fail():

@@ -1,10 +1,13 @@
 """Partial observation: masks, closures, triple validation, construction."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simsup import Alphabet, Automaton, ExplosionGuardError, InputError
+from simsup import (Alphabet, Automaton, ExplosionGuardError, InputError,
+                    automaton_digest, partial)
 from simsup.partial import (TripleState, build_partial, gamma_candidates,
                             is_admissible_partial, minimal_u, sigma_y,
                             validate_triple)
@@ -13,6 +16,7 @@ from simsup.synthesis import (Guards, SynthesisContext, build, in_sp,
                               render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
+from .oracles import oracle_minimal_u_by_branching
 
 # chain fixture with sigma unobservable
 UO_ALPHA = Alphabet.build(["sigma", "c"], controllable=["c"], observable=["c"])
@@ -89,6 +93,66 @@ def test_minimal_u_matches_brute_force(seed):
             mine = set(minimal_u(w1, gamma, ctx))
             brute = set(oracle_minimal_u(w1, gamma, plant, spec, ctx.w_up))
             assert mine == brute
+
+
+def partial_draw(seed, nx, nz):
+    """A partial-observation-shaped draw: 3 events, 60 % observable,
+    density 1.2 per state."""
+    plant, spec, _ = random_uc_pair(seed, plant_states=nx, spec_states=nz,
+                                    n_events=3, density=1.2 / nx,
+                                    spec_density=1.2 / nz, observable_ratio=0.6)
+    return plant, spec
+
+
+def _closures_or_guard(fn, w1, gamma, ctx):
+    try:
+        return fn(w1, gamma, ctx)
+    except ExplosionGuardError as exc:
+        return ("guard", str(exc))
+
+
+@pytest.mark.parametrize("seed,nx,nz", [
+    (13, 9, 9), (29, 8, 8), (43, 7, 9), (59, 6, 6),
+    (54, 9, 6),  # trips the closure cap
+    (55, 10, 7)])  # trips the cover cap
+def test_minimal_u_matches_branching_oracle_on_builds(monkeypatch, seed, nx, nz):
+    # every (w1, gamma) the partial build reaches, guard trips included
+    plant, spec = partial_draw(seed, nx, nz)
+    assert plant.alphabet.unobservable
+    real = partial.minimal_u
+    outcomes = []
+
+    def checked(w1, gamma, ctx):
+        got = _closures_or_guard(real, w1, gamma, ctx)
+        assert got == _closures_or_guard(oracle_minimal_u_by_branching,
+                                         w1, gamma, ctx)
+        outcomes.append(got)
+        if isinstance(got, tuple):
+            raise ExplosionGuardError(got[1])
+        return got
+
+    monkeypatch.setattr(partial, "minimal_u", checked)
+    try:
+        build_partial(plant, spec, Guards())
+    except ExplosionGuardError:
+        pass
+    assert outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=63))
+def test_minimal_u_guard_trip_points(seed, cap, pick):
+    # a cap of at most 64 bounds both searches to 65 explored closures
+    plant, spec = partial_draw(seed, 6 + seed % 3, 6 + seed // 3 % 3)
+    assume(plant.alphabet.unobservable)
+    ctx = SynthesisContext(plant, spec, Guards(max_covers=cap))
+    pairs = sorted(ctx.w_up)
+    w1 = frozenset({pairs[pick % len(pairs)], pairs[pick * 7 % len(pairs)]})
+    for gamma in gamma_candidates(plant.alphabet):
+        assert _closures_or_guard(minimal_u, w1, gamma, ctx) == \
+            _closures_or_guard(oracle_minimal_u_by_branching, w1, gamma, ctx)
 
 
 # --- triple validation -------------------------------------------------------
@@ -170,6 +234,41 @@ def test_unobservable_chain_build():
     ok, _ = is_admissible_partial(a, UO_PLANT)
     assert ok
     assert in_sp(a, UO_PLANT, UO_SPEC)
+
+
+def test_build_partial_completes_each_core_once(monkeypatch):
+    plant, spec = partial_draw(43, 7, 9)
+    real = partial.minimal_u
+    calls = Counter()
+
+    def counted(w1, gamma, ctx):
+        calls[w1, gamma] += 1
+        return real(w1, gamma, ctx)
+
+    monkeypatch.setattr(partial, "minimal_u", counted)
+    build_partial(plant, spec, Guards())
+    assert len(calls) > 1000
+    assert set(calls.values()) == {1}
+
+
+# .aut sha256 of the partial builds, and a guard message, as computed by the
+# string-pair closure search with a completion per cover step
+@pytest.mark.parametrize("seed,nx,nz,expected", [
+    (1, 8, 10, "8869fe90af8e318388243afbd7e5c3b32b2d00b00bcdb691e120f5f98e272935"),
+    (7, 7, 6, "52b5fe907b5d5231f5f18a2ebfa1b5b8c7bf0e14dabf8e15def3c0f6e6d8d446"),
+    (13, 9, 9, "62e2cb737ad120b8d391df6d0eed46e66eb2bf53bd2a04f9ce3bab22f3facef4"),
+    (29, 8, 8, "6ec3496b2157253bd2e36cee6bdeb745c55689bce0c09b45427d9c5fb8625c1f"),
+    (31, 8, 6, "d38c90c2b11106f2f4cc4c860b862011ab8622d517d9442fe39226eb851d183d"),
+    (43, 7, 9, "b82210356bca8f23ebc62fa523d985294f67b8cd849ef403114d7da70da4da40"),
+    (54, 9, 6, "closure enumeration cap 4096 exceeded for "
+               "W1={(x0,z2),(x6,z2),(x8,z2)} gamma={e0}")])
+def test_build_partial_outputs_pinned(seed, nx, nz, expected):
+    plant, spec = partial_draw(seed, nx, nz)
+    try:
+        got = automaton_digest(build_partial(plant, spec, Guards()).automaton)
+    except ExplosionGuardError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_admissible_partial_flags_moving_unobservables():

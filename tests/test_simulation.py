@@ -156,3 +156,28 @@ def test_f_step_is_monotone(seed, data):
     fs = f_step(plant, spec, Relation(small)).pairs
     fb = f_step(plant, spec, Relation(big)).pairs
     assert fs <= big and fs <= fb
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(("uc", "full")), st.data())
+def test_is_simulation_relation_least_step_witness(seed, mode, data):
+    # random relations usually break several obligations at once; the
+    # witness is the least of them (sorted pair, event order, successor)
+    plant, spec = random_pair(seed, plant_states=4, spec_states=4,
+                              n_events=3, density=0.4)
+    universe = sorted((x, z) for x in plant.states for z in spec.states)
+    pairs = frozenset(data.draw(st.sets(st.sampled_from(universe))))
+    events = _tracked(plant, mode)
+    broken = [((x, z), k, x1) for (x, z) in pairs
+              for k, ev in enumerate(events)
+              for x1 in plant.succ.get((x, ev), ())
+              if not any((x1, z1) in pairs
+                         for z1 in spec.succ.get((z, ev), ()))]
+    got = is_simulation_relation(Relation(pairs), plant, spec, mode,
+                                 check_initial=False)
+    if not broken:
+        assert got == (True, None)
+    else:
+        pair, k, x1 = min(broken)
+        assert got == (False, ("step", pair, events[k], x1))
