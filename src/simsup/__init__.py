@@ -16,8 +16,7 @@ from .autfile import (automaton_digest, format_automaton, load_automaton,
                       parse_automaton, save_automaton, sidecar_payload,
                       write_sidecar)
 from .dot import to_dot
-from .errors import (ExplosionGuardError, InputError,
-                     InternalConsistencyError, ParseError,
+from .errors import (ExplosionGuardError, InputError, ParseError,
                      RejectionLimitError, SimsupError,
                      SynthesisPreconditionError)
 from .grcheck import (CLAUSE_ORDER, ClauseFailure, GrReport, check_gr,
@@ -47,8 +46,8 @@ __all__ = [
     "automaton_digest", "format_automaton", "load_automaton",
     "parse_automaton", "save_automaton", "sidecar_payload", "write_sidecar",
     "to_dot",
-    "ExplosionGuardError", "InputError", "InternalConsistencyError",
-    "ParseError", "RejectionLimitError", "SimsupError",
+    "ExplosionGuardError", "InputError", "ParseError",
+    "RejectionLimitError", "SimsupError",
     "SynthesisPreconditionError",
     "CLAUSE_ORDER", "ClauseFailure", "GrReport", "check_gr",
     "check_saturated",

@@ -29,7 +29,3 @@ class ExplosionGuardError(SimsupError):
 
 class RejectionLimitError(SimsupError):
     """Rejection sampling gave up before finding an acceptable instance."""
-
-
-class InternalConsistencyError(SimsupError):
-    """Two routes that must agree on finite inputs disagreed.  Never expected."""

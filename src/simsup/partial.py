@@ -14,12 +14,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Alphabet, Automaton, compose, split_product_id
-from .errors import ExplosionGuardError, InputError, InternalConsistencyError
+from .automata import Alphabet, Automaton, split_product_id
+from .errors import ExplosionGuardError, InputError
 from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _matchable, clause_a,
-                        initial_power_states, is_admissible, minimal_covers,
+                        SynthesisContext, _matchable, clause_a, closed_loop,
+                        initial_power_states, loop_admissible, minimal_covers,
                         render_pairs)
 
 
@@ -52,26 +52,6 @@ def gamma_candidates(alphabet: Alphabet) -> list[frozenset[str]]:
     return sorted(out, key=lambda g: tuple(sorted(g)))
 
 
-def _obligation_rows(gamma: frozenset[str], ctx: SynthesisContext) -> list:
-    """One row per fixpoint pair, in pair-bit order: the pair's obligations
-    under the masked events (sorted events, then plant successors), each as
-    (answer mask, answer bits in spec-successor order).  Cached per gamma."""
-    rows = ctx.closure_rows.get(gamma)
-    if rows is None:
-        gsucc, rsucc, bit = ctx.plant.succ, ctx.spec.succ, ctx.pair_bit
-        events = sorted(gamma)
-        rows = ctx.closure_rows[gamma] = []
-        for (x, z) in ctx.fixpoint_pairs:
-            row = []
-            for ev in events:
-                zs = rsucc.get((z, ev), ())
-                for x1 in gsucc.get((x, ev), ()):
-                    answers = tuple(bit[(x1, z1)] for z1 in zs if (x1, z1) in bit)
-                    row.append((sum(answers), answers))  # distinct bits
-            rows.append(row)
-    return rows
-
-
 def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     """Minimal supersets of w1 within the fixpoint closed under gamma-labeled
     obligations; empty when no closure exists inside the fixpoint.
@@ -84,11 +64,9 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     gamma = frozenset(gamma)
     if not w1 <= ctx.w_up:
         raise InputError("W1 must lie inside the greatest matching fixpoint")
-    rows = _obligation_rows(gamma, ctx)
-    bit = ctx.pair_bit
-    root = 0
-    for pair in w1:
-        root |= bit[pair]
+    tables = [ctx.answers(ev) for ev in sorted(gamma)]
+    index = ctx.pair_index
+    root = sum(1 << index[pair] for pair in w1)
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
@@ -107,24 +85,28 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             raise ExplosionGuardError(
                 "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
                 % (cap, render_pairs(w1), ",".join(sorted(gamma))))
-        answers = None
+        unmet = None
         todo = w >> start << start
-        while todo:
+        while todo and unmet is None:
             low = todo & -todo
             todo ^= low
             at = low.bit_length() - 1
-            for mask, bits in rows[at]:
-                if not w & mask:
-                    answers = bits
+            for table in tables:
+                for mask in table[at]:
+                    if not w & mask:
+                        unmet = mask
+                        break
+                if unmet is not None:
                     break
-            if answers is not None:
-                break
-        if answers is None:
+        if unmet is None:
             closed.append(w)
             continue
-        for b in answers:
+        # ascending bits are the answers in spec-successor order, since x' is
+        # fixed and the pairs are sorted; with none, the branch dies
+        while unmet:
+            b = unmet & -unmet
+            unmet ^= b
             stack.append((w | b, min(at, b.bit_length() - 1)))
-        # no answers: the branch dies, no closure through this obligation
     minima: list[int] = []
     for cand in sorted(closed, key=int.bit_count):
         if not any(m & cand == m for m in minima):
@@ -142,10 +124,8 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
 
 def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:
     # masked controllable events must actually occur somewhere in w2
-    for ev in gamma & ctx.plant.alphabet.controllable:
-        if not any(ctx.plant.succ.get((x, ev)) for (x, _) in w2):
-            return False
-    return True
+    return all(clause_a(w2, ev, ctx)
+               for ev in gamma & ctx.plant.alphabet.controllable)
 
 
 def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
@@ -204,9 +184,6 @@ def build_partial(plant: Automaton, spec: Automaton,
         ys = _completions(w01, gammas, ctx)
         completed[w01] = [y.tid for y in ys]
         inits.update(zip(completed[w01], ys))
-    if not inits:
-        # the minimal mask always closes inside the fixpoint, so this cannot fire
-        raise InternalConsistencyError("no admissible initial triple")
     payloads = {tid: inits[tid] for tid in sorted(inits)}
     queue = deque(payloads)
     edges = set()
@@ -249,12 +226,12 @@ def is_admissible_partial(s: Automaton, g: Automaton):
     is_admissible counterexample or ((y,x), event, y1) for a state-changing
     unobservable edge.
     """
-    ok, witness = is_admissible(s, g)
+    loop = closed_loop(s, g)
+    ok, witness = loop_admissible(loop, g)
     if not ok:
         return False, witness
-    prod = compose(s, g)
     unobservable = sorted(g.alphabet.unobservable)
-    for pid in prod.sorted_states:
+    for pid in loop.sorted_states:
         pair = split_product_id(pid)
         for ev in unobservable:
             for y1 in s.succ.get((pair.left, ev), ()):

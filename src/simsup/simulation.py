@@ -33,7 +33,11 @@ class Relation:
     right: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
+        # a frozenset is kept as given: copying a large relation doubles
+        # its memory
+        if not isinstance(self.pairs, frozenset):
+            object.__setattr__(self, "pairs",
+                               frozenset(tuple(p) for p in self.pairs))
 
     @property
     def sorted_pairs(self) -> list[Pair]:
@@ -68,25 +72,17 @@ def _tracked(g: Automaton, mode: str) -> tuple[str, ...]:
     raise InputError("mode must be 'uc' or 'full', got %r" % mode)
 
 
-def _step_pairs(g: Automaton, r: Automaton, pairs: frozenset[Pair],
-                events: tuple[str, ...]) -> frozenset[Pair]:
-    keep = set()
-    for (x, z) in pairs:
-        ok = True
-        for ev in events:
-            xs = g.succ.get((x, ev))
-            if not xs:
-                continue
-            zs = r.succ.get((z, ev), ())
-            for x1 in xs:
-                if not any((x1, z1) in pairs for z1 in zs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keep.add((x, z))
-    return frozenset(keep)
+def _unanswered(g: Automaton, r: Automaton, pairs, events: tuple[str, ...],
+                x: str, z: str):
+    """The first obligation of (x,z) that no pair in pairs answers, as
+    ("step", (x,z), event, x'), in event then plant-successor order; None
+    when pairs answers them all."""
+    for ev in events:
+        zs = r.succ.get((z, ev), ())
+        for x1 in g.succ.get((x, ev), ()):
+            if not any((x1, z1) in pairs for z1 in zs):
+                return ("step", (x, z), ev, x1)
+    return None
 
 
 def f_step(g: Automaton, r: Automaton, rel: Relation) -> Relation:
@@ -96,8 +92,10 @@ def f_step(g: Automaton, r: Automaton, rel: Relation) -> Relation:
     and larger arguments give larger results.
     """
     _require_shared_alphabet(g, r)
-    pairs = _step_pairs(g, r, rel.pairs, _tracked(g, "uc"))
-    return Relation(pairs, left=rel.left, right=rel.right)
+    pairs, events = rel.pairs, _tracked(g, "uc")
+    keep = frozenset(p for p in pairs
+                     if _unanswered(g, r, pairs, events, *p) is None)
+    return Relation(keep, left=rel.left, right=rel.right)
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -266,19 +264,10 @@ def is_simulation_relation(rel: Relation, g: Automaton, r: Automaton,
             if not any((x0, z0) in rel.pairs for z0 in sorted(r.initial)):
                 return False, ("initial", x0)
     pairs = rel.pairs
-
-    def unanswered(x, z):
-        for ev in events:
-            zs = r.succ.get((z, ev), ())
-            for x1 in g.succ.get((x, ev), ()):
-                if not any((x1, z1) in pairs for z1 in zs):
-                    return ("step", (x, z), ev, x1)
-        return None
-
     # pairs are sorted only when some violation exists, to find the least
-    if any(unanswered(x, z) for (x, z) in pairs):
-        for (x, z) in sorted(pairs):
-            witness = unanswered(x, z)
+    if any(_unanswered(g, r, pairs, events, *p) for p in pairs):
+        for p in sorted(pairs):
+            witness = _unanswered(g, r, pairs, events, *p)
             if witness:
                 return False, witness
     return True, None

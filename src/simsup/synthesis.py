@@ -67,19 +67,19 @@ def parse_pairs(text: str) -> PowerState:
 @dataclass(frozen=True)
 class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, the greatest
-    matching fixpoint (computed once, cached) and its pairs numbered as
-    bits, the minimal covers per (W, event) that check_saturated computed,
-    which a later takai build reuses, and the partial build's closure
-    obligations per unobservable mask and closures interned by bitmask."""
+    matching fixpoint (computed once, cached) with its pairs numbered once
+    and their one-step obligations per event, the minimal covers per
+    (W, event) that check_saturated computed, which a later takai build
+    reuses, and the partial build's closures interned by bitmask."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
     covers_memo: dict[tuple[PowerState, str], list[PowerState]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    closure_rows: dict[frozenset[str], list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     closures: dict[int, PowerState] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _answers: dict[str, list[tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,8 +98,28 @@ class SynthesisContext:
         return _canon(self.w_up)
 
     @cached_property
-    def pair_bit(self) -> dict[Pair, int]:
-        return {p: 1 << i for i, p in enumerate(self.fixpoint_pairs)}
+    def pair_index(self) -> dict[Pair, int]:
+        """Position of each fixpoint pair in fixpoint_pairs."""
+        return {p: i for i, p in enumerate(self.fixpoint_pairs)}
+
+    def answers(self, event: str) -> list[tuple[int, ...]]:
+        """The one-step obligations of the fixpoint pairs under event.
+
+        Row i holds one mask per plant move x -event-> x' of the i-th pair
+        (x,z), in plant-successor order; bit j of a mask is set when the j-th
+        pair is (x',z') with z -event-> z'.  A mask of 0 is an obligation
+        nothing inside the fixpoint answers.  Cached per event.
+        """
+        table = self._answers.get(event)
+        if table is None:
+            gsucc, rsucc, index = self.plant.succ, self.spec.succ, self.pair_index
+            table = self._answers[event] = []
+            for (x, z) in self.fixpoint_pairs:
+                zs = rsucc.get((z, event), ())
+                table.append(tuple(
+                    sum(1 << index[x1, z1] for z1 in zs if (x1, z1) in index)
+                    for x1 in gsucc.get((x, event), ())))  # distinct bits
+        return table
 
     @cached_property
     def uncontrollable(self) -> frozenset[str]:
@@ -132,19 +152,29 @@ class CoverFamily:
             not target.isdisjoint(a) for (_, a) in self.obligations)
 
 
+def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
+    """Positions of w's pairs in fixpoint_pairs, ascending (the _canon
+    order); raises InputError naming the least pair outside the fixpoint."""
+    index = ctx.pair_index
+    try:
+        return sorted(index[p] for p in w)
+    except KeyError:
+        raise InputError("PowerState pair (%s,%s) outside the fixpoint"
+                         % min(p for p in w if p not in index)) from None
+
+
 def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamily:
-    gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
+    pairs, gsucc, table = ctx.fixpoint_pairs, ctx.plant.succ, ctx.answers(event)
     obligations = []
-    candidates = set()
-    for (x, z) in _canon(w):
-        if (x, z) not in ctx.w_up:
-            raise InputError("PowerState pair (%s,%s) outside the fixpoint" % (x, z))
-        zs = rsucc.get((z, event), ())
-        for x1 in gsucc.get((x, event), ()):
-            allowed = tuple((x1, z1) for z1 in zs if (x1, z1) in ctx.w_up)
-            obligations.append(((x, z, x1), allowed))
-            candidates.update(allowed)
-    return CoverFamily(frozenset(w), event, tuple(obligations), _canon(candidates))
+    pool = 0
+    for i in _indices(w, ctx):
+        x, z = pairs[i]
+        for x1, mask in zip(gsucc.get((x, event), ()), table[i]):
+            obligations.append(((x, z, x1),
+                                tuple(pairs[j] for j in bit_positions(mask))))
+            pool |= mask
+    return CoverFamily(frozenset(w), event, tuple(obligations),
+                       tuple(pairs[j] for j in bit_positions(pool)))
 
 
 def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
@@ -153,13 +183,8 @@ def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
 
 
 def _matchable(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
-    gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
-    for (x, z) in w:
-        zs = rsucc.get((z, event), ())
-        for x1 in gsucc.get((x, event), ()):
-            if not any((x1, z1) in ctx.w_up for z1 in zs):
-                return False
-    return True
+    table = ctx.answers(event)
+    return all(all(table[i]) for i in _indices(w, ctx))
 
 
 def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
@@ -168,11 +193,11 @@ def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     return event in ctx.uncontrollable or _matchable(w, event, ctx)
 
 
-def _cover_guard(fam: CoverFamily, count_kind: str, cap: int) -> ExplosionGuardError:
+def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
+                 cap: int) -> ExplosionGuardError:
     return ExplosionGuardError(
         "%s cap %d exceeded at (%s, %s) with %d candidate pairs"
-        % (count_kind, cap, render_pairs(fam.source), fam.event,
-           len(fam.candidate_pairs)))
+        % (count_kind, cap, render_pairs(w), event, candidates))
 
 
 def n_set_members(w: PowerState, event: str, ctx: SynthesisContext,
@@ -215,7 +240,8 @@ def _enumerate_covers(fam: CoverFamily, cap: int):
         elif i == len(cands):
             yielded += 1
             if yielded > cap:
-                raise _cover_guard(fam, "cover enumeration", cap)
+                raise _cover_guard(fam.source, fam.event, len(cands),
+                                   "cover enumeration", cap)
             yield frozenset(chosen)
         else:
             dead = False
@@ -285,33 +311,30 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
 def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[PowerState]:
     """Minimal members of the cover family, sorted canonically.
 
-    A minimal cover is a minimal transversal of the allowed sets over the
-    candidate pairs.  The cover cap bounds the choice functions (the product
-    of the allowed-set sizes), checked before anything is enumerated.
+    A minimal cover is a minimal transversal of the obligations' answer
+    masks over the fixpoint pairs.  The cover cap bounds the choice functions
+    (the product of the answer counts), checked before anything is
+    enumerated.
     """
-    fam = cover_family(w, event, ctx)
-    allowed = [a for (_, a) in fam.obligations]
-    if not allowed:
+    table = ctx.answers(event)
+    edges = [mask for i in _indices(w, ctx) for mask in table[i]]
+    if not edges:
         return [frozenset()]
-    if not all(allowed):
+    if not all(edges):
         return []
     cap = ctx.guards.max_covers
     choices = 1
-    for a in allowed:
-        choices *= len(a)
+    for e in edges:
+        choices *= e.bit_count()
         if choices > cap:
-            raise _cover_guard(fam, "choice-function enumeration", cap)
-    cands = fam.candidate_pairs
-    index = {p: 1 << i for i, p in enumerate(cands)}
-    edges = []
-    for a in allowed:
-        mask = 0
-        for p in a:
-            mask |= index[p]
-        edges.append(mask)
-    # candidate_pairs is sorted, so index order is the _canon order
+            pool = 0
+            for mask in edges:
+                pool |= mask
+            raise _cover_guard(w, event, pool.bit_count(),
+                               "choice-function enumeration", cap)
+    pairs = ctx.fixpoint_pairs
     members = sorted(bit_positions(t) for t in _minimal_transversals(edges))
-    return [frozenset(cands[i] for i in m) for m in members]
+    return [frozenset(pairs[i] for i in m) for m in members]
 
 
 def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:

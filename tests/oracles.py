@@ -10,7 +10,7 @@ supervisors.  Slow on purpose; only run at small scales.
 import itertools
 
 from simsup import Automaton, ExplosionGuardError, compose
-from simsup.synthesis import cover_family, render_pairs
+from simsup.synthesis import render_pairs
 
 
 def delta(a: Automaton) -> dict:
@@ -84,13 +84,29 @@ def oracle_minimal(sets) -> list:
     return [s for s in sets if not any(t < s for t in sets)]
 
 
+def oracle_cover_family(w, event, g: Automaton, r: Automaton, w_up):
+    """(obligations, candidate pairs) of (w, event): one ((x, z, x'),
+    allowed) per plant move of a pair of w, in sorted order, allowed being
+    the sorted pairs (x', z') inside w_up with z -event-> z'; the candidates
+    are the sorted union of the allowed pairs."""
+    dg, dr = delta(g), delta(r)
+    obligations = tuple(
+        ((x, z, x1), tuple(sorted((x1, z1) for z1 in dr.get((z, event), ())
+                                  if (x1, z1) in w_up)))
+        for (x, z) in sorted(w) for x1 in sorted(dg.get((x, event), ())))
+    candidates = tuple(sorted({p for (_, allowed) in obligations
+                               for p in allowed}))
+    return obligations, candidates
+
+
 def oracle_minimal_covers_by_choice(w, event, ctx) -> list:
     """Minimal covers of (w, event) by scanning every choice function (one
     allowed answer per obligation) and keeping the subset-minimal images.
     Raises the same guard as minimal_covers once the scan passes the cover
     cap."""
-    fam = cover_family(w, event, ctx)
-    allowed = [a for (_, a) in fam.obligations]
+    obligations, candidates = oracle_cover_family(w, event, ctx.plant,
+                                                  ctx.spec, ctx.w_up)
+    allowed = [a for (_, a) in obligations]
     if not allowed:
         return [frozenset()]
     cap = ctx.guards.max_covers
@@ -99,8 +115,8 @@ def oracle_minimal_covers_by_choice(w, event, ctx) -> list:
         if scanned > cap:
             raise ExplosionGuardError(
                 "choice-function enumeration cap %d exceeded at (%s, %s) with "
-                "%d candidate pairs" % (cap, render_pairs(fam.source), fam.event,
-                                        len(fam.candidate_pairs)))
+                "%d candidate pairs" % (cap, render_pairs(w), event,
+                                        len(candidates)))
         images.add(frozenset(combo))
     minima = []
     for cand in sorted(images, key=lambda s: (len(s), sorted(s))):

@@ -1,5 +1,6 @@
 """Partial observation: masks, closures, triple validation, construction."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -13,10 +14,11 @@ from simsup.partial import (TripleState, build_partial, gamma_candidates,
                             validate_triple)
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, build, in_sp,
-                              render_pairs)
+                              initial_power_states, render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
 from .oracles import oracle_minimal_u_by_branching
+from .pool import uc_instance
 
 # chain fixture with sigma unobservable
 UO_ALPHA = Alphabet.build(["sigma", "c"], controllable=["c"], observable=["c"])
@@ -234,6 +236,35 @@ def test_unobservable_chain_build():
     ok, _ = is_admissible_partial(a, UO_PLANT)
     assert ok
     assert in_sp(a, UO_PLANT, UO_SPEC)
+
+
+def test_initial_cores_complete_under_the_minimal_mask():
+    # build_partial needs a completion of every initial core: the core lies
+    # in the uc-fixpoint, which is closed under the uncontrollable-
+    # unobservable events of the minimal mask, and that mask has no
+    # controllable event to disable.  Checked on the acceptance pool and on
+    # the 48 first partial-shaped draws with an unobservable event, sized
+    # as the benchmark's partial workload
+    draws = [uc_instance(seed)[:2] for seed in range(500)]
+    seed = 0
+    while len(draws) < 500 + 48:
+        rng = random.Random(seed * 7919 + 31)
+        plant, spec = partial_draw(seed, rng.randint(6, 10), rng.randint(6, 10))
+        if plant.alphabet.unobservable:
+            draws.append((plant, spec))
+        seed += 1
+    cores = 0
+    for plant, spec in draws:
+        # the default cap cuts one of these searches short, and a build
+        # then trips the closure guard before any completion can be missing
+        ctx = SynthesisContext(plant, spec, Guards(max_covers=1 << 16))
+        alpha = plant.alphabet
+        gamma = alpha.unobservable & alpha.uncontrollable
+        assert gamma in gamma_candidates(alpha)
+        for core in initial_power_states(ctx):
+            assert partial._completions(core, [gamma], ctx)
+            cores += 1
+    assert cores > len(draws)
 
 
 def test_build_partial_completes_each_core_once(monkeypatch):

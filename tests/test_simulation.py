@@ -93,6 +93,16 @@ def test_relation_json_round_trip():
     assert again.left == "plant"
 
 
+def test_relation_keeps_a_frozenset_and_converts_other_iterables():
+    pairs = frozenset({("x0", "z0"), ("x1", "z1")})
+    assert Relation(pairs).pairs is pairs
+    for other in ([["x0", "z0"], ("x1", "z1")], set(pairs), iter(pairs)):
+        rel = Relation(other)
+        assert isinstance(rel.pairs, frozenset) and rel.pairs == pairs
+    body = {"left": "g", "right": "r", "pairs": [["x0", "z0"], ["x1", "z1"]]}
+    assert Relation.from_json(body).pairs == pairs
+
+
 def test_project_pi_yields_uc_simulation():
     sup = chain_sup_b().automaton
     loop = compose(sup, CHAIN_PLANT)

@@ -1,5 +1,7 @@
 """Powerset synthesis: clauses, covers, builds, pruning, SP membership."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,10 @@ from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, FORK_S1, W0, W1, W2, W3, W4, W5,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
 from .oracles import (oracle_admissible, oracle_greatest_simulation,
-                      oracle_in_sp, oracle_loop_below, oracle_matchable,
-                      oracle_minimal, oracle_minimal_covers_by_choice,
-                      oracle_n_set, oracle_variant2_targets)
+                      oracle_cover_family, oracle_in_sp, oracle_loop_below,
+                      oracle_matchable, oracle_minimal,
+                      oracle_minimal_covers_by_choice, oracle_n_set,
+                      oracle_variant2_targets)
 from .pool import uc_instance
 
 
@@ -184,6 +187,32 @@ def test_minimal_covers_match_choice_oracle_on_builds(monkeypatch, seed, nx,
     except ExplosionGuardError:
         pass
     assert len(outcomes) >= 25
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.floats(min_value=0.05, max_value=0.5), st.data())
+def test_obligation_readers_match_string_oracles(seed, nx, nz, density, data):
+    # cover_family, clause_b and minimal_covers all read the context's
+    # obligation table; each must equal its string-pair oracle for every W
+    # of up to 3 pairs out of (up to) 8 fixpoint pairs, and every event
+    plant, spec = random_pair(seed, plant_states=nx, spec_states=nz,
+                              n_events=3, density=density)
+    ctx = SynthesisContext(plant, spec, Guards(max_covers=16))
+    pool = data.draw(st.permutations(sorted(ctx.w_up)))[:8]
+    for k in range(4):
+        for combo in itertools.combinations(pool, k):
+            w = frozenset(combo)
+            for ev in plant.alphabet.events:
+                fam = cover_family(w, ev, ctx)
+                assert (fam.obligations, fam.candidate_pairs) == \
+                    oracle_cover_family(w, ev, plant, spec, ctx.w_up)
+                assert clause_b(w, ev, ctx) == (
+                    ev in plant.alphabet.uncontrollable
+                    or oracle_matchable(w, ev, plant, spec, ctx.w_up))
+                assert _covers_or_guard(minimal_covers, w, ev, ctx) == \
+                    _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
 
 
 def _brute_minimal_transversals(n, edges):
