@@ -239,28 +239,18 @@ def compose(s: Automaton, g: Automaton, full: bool = False) -> Automaton:
     if full:
         pairs = [(y, x) for y in s.sorted_states for x in g.sorted_states]
     else:
-        seen = set(sorted((y, x) for y in s.initial for x in g.initial))
-        frontier = sorted(seen)
-        pairs = list(frontier)
-        while frontier:
-            nxt = []
-            for (y, x) in frontier:
-                for ev in events:
-                    for y1 in s.succ.get((y, ev), ()):
-                        for x1 in g.succ.get((x, ev), ()):
-                            if (y1, x1) not in seen:
-                                seen.add((y1, x1))
-                                nxt.append((y1, x1))
-            frontier = sorted(nxt)
-            pairs.extend(frontier)
-    pairset = set(pairs)
+        pairs = [(y, x) for y in s.initial for x in g.initial]
+    seen = set(pairs)
     trans = set()
-    for (y, x) in pairs:
+    for (y, x) in pairs:  # grows while walked: a breadth-first search
+        src = product_id(y, x)
         for ev in events:
             for y1 in s.succ.get((y, ev), ()):
                 for x1 in g.succ.get((x, ev), ()):
-                    if (y1, x1) in pairset:
-                        trans.add((product_id(y, x), ev, product_id(y1, x1)))
+                    if (y1, x1) not in seen:
+                        seen.add((y1, x1))
+                        pairs.append((y1, x1))
+                    trans.add((src, ev, product_id(y1, x1)))
     return Automaton(frozenset(product_id(y, x) for (y, x) in pairs),
                      s.alphabet, frozenset(trans), init)
 

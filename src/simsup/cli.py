@@ -45,7 +45,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise InputError("config %s line %d: expected key=value"
                                  % (path, lineno))
             key, value = line.split("=", 1)
-            table[key.strip().replace("-", "_")] = value.strip().strip('"')
+            name = key.strip().replace("-", "_")
+            if name not in ("max_states", "max_covers"):
+                raise InputError("config %s line %d: unknown key %r "
+                                 "(known: max_states, max_covers)"
+                                 % (path, lineno, key.strip()))
+            table[name] = value.strip().strip('"')
     return table
 
 

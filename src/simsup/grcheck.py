@@ -169,10 +169,7 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
             if not targets:
                 continue
             target_sets = [payloads[t] for t in targets]
-            covers = ctx.covers_memo.get((w, ev))
-            if covers is None:
-                covers = ctx.covers_memo[w, ev] = minimal_covers(w, ev, ctx)
-            for mincover in covers:
+            for mincover in minimal_covers(w, ev, ctx):
                 if not any(t <= mincover for t in target_sets):
                     failures.append(ClauseFailure("6-c", (sid, ev, mincover)))
 

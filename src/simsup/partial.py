@@ -58,7 +58,7 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
 
     Branches over the answers to the least unmet obligation, closing each
     branch to a fixpoint, then antichain-reduces the closures.  Works over
-    pair bitmasks; closures are interned on the context.
+    pair bitmasks.
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
@@ -112,14 +112,11 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
         if not any(m & cand == m for m in minima):
             minima.append(cand)
     minima.sort(key=bit_positions)  # the sorted-pairs order
-    pairs, interned = ctx.fixpoint_pairs, ctx.closures
-    out = []
-    for m in minima:
-        w2 = w1 if m == root else interned.get(m)
-        if w2 is None:
-            w2 = interned[m] = frozenset(pairs[i] for i in bit_positions(m))
-        out.append(w2)
-    return out
+    # a closure equal to the core shares the core's frozenset: a build holds
+    # every triple's core and closure, and a closure is often its core
+    pairs = ctx.fixpoint_pairs
+    return [w1 if m == root else frozenset(pairs[i] for i in bit_positions(m))
+            for m in minima]
 
 
 def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:

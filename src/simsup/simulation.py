@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, compose, reachable, split_product_id
+from .automata import Automaton, compose, split_product_id
 from .errors import InputError
 
 Pair = tuple[str, str]
@@ -280,7 +280,7 @@ def project_pi(rel: Relation, s: Automaton, g: Automaton) -> Relation:
     When S is admissible for G and the input relation witnesses S||G below R,
     the result is a uc-simulation of G by R.
     """
-    live = reachable(compose(s, g))
+    live = compose(s, g).states
     keep = set()
     for (pid, z) in rel.pairs:
         if pid in live:

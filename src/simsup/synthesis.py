@@ -66,19 +66,13 @@ def parse_pairs(text: str) -> PowerState:
 
 @dataclass(frozen=True)
 class SynthesisContext:
-    """Shared synthesis state: plant, spec, guard caps, the greatest
-    matching fixpoint (computed once, cached) with its pairs numbered once
-    and their one-step obligations per event, the minimal covers per
-    (W, event) that check_saturated computed, which a later takai build
-    reuses, and the partial build's closures interned by bitmask."""
+    """Shared synthesis state: plant, spec, guard caps, and tables derived
+    from them: the greatest matching fixpoint (computed once, cached) with
+    its pairs numbered once and their one-step obligations per event."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
-    covers_memo: dict[tuple[PowerState, str], list[PowerState]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    closures: dict[int, PowerState] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     _answers: dict[str, list[tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -163,6 +157,13 @@ def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
                          % min(p for p in w if p not in index)) from None
 
 
+def _edges(w: PowerState, event: str, ctx: SynthesisContext) -> list[int]:
+    """W's obligation masks under event (rows of ctx.answers), its pairs in
+    ascending order; every cover of (W, event) hits each of them."""
+    table = ctx.answers(event)
+    return [mask for i in _indices(w, ctx) for mask in table[i]]
+
+
 def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamily:
     pairs, gsucc, table = ctx.fixpoint_pairs, ctx.plant.succ, ctx.answers(event)
     obligations = []
@@ -183,8 +184,7 @@ def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
 
 
 def _matchable(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
-    table = ctx.answers(event)
-    return all(all(table[i]) for i in _indices(w, ctx))
+    return all(_edges(w, event, ctx))
 
 
 def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
@@ -205,53 +205,41 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext,
     """Lazily enumerate every cover of (w, event): each subset of the candidate
     pairs answering every obligation.  Raises the explosion guard when the
     consumer pulls more than cap members (default: context guard)."""
-    fam = cover_family(w, event, ctx)
+    edges = _edges(w, event, ctx)
     cap = ctx.guards.max_covers if cap is None else cap
-    return _enumerate_covers(fam, cap)
+    pool = 0
+    for e in edges:
+        pool |= e
+    bits = [1 << j for j in bit_positions(pool)]
+    later = [0] * (len(bits) + 1)  # later[i]: the pool bits from i on
+    for i in range(len(bits) - 1, -1, -1):
+        later[i] = later[i + 1] | bits[i]
+    pairs = ctx.fixpoint_pairs
 
+    def covers():
+        if not all(edges):
+            return
+        yielded = 0
+        # depth-first over the pool bits, ascending, leaving bits[i] out
+        # before taking it in; a branch lives while every edge keeps a chosen
+        # or later bit, so every leaf covers.  An explicit stack, since a
+        # recursive walk is as deep as the pool is wide
+        todo = [(0, 0)]
+        while todo:
+            i, chosen = todo.pop()
+            if i == len(bits):
+                yielded += 1
+                if yielded > cap:
+                    raise _cover_guard(w, event, len(bits),
+                                       "cover enumeration", cap)
+                yield frozenset(pairs[j] for j in bit_positions(chosen))
+                continue
+            todo.append((i + 1, chosen | bits[i]))
+            reach = chosen | later[i + 1]
+            if all(e & reach for e in edges):
+                todo.append((i + 1, chosen))
 
-_VISIT, _TAKE, _DROP = range(3)
-
-
-def _enumerate_covers(fam: CoverFamily, cap: int):
-    allowed = [frozenset(a) for (_, a) in fam.obligations]
-    if any(not a for a in allowed):
-        return
-    cands = fam.candidate_pairs
-    serves = [[j for j, a in enumerate(allowed) if c in a] for c in cands]
-    # possible[j] = satisfied choices + undecided candidates for obligation j;
-    # a branch dies the moment some obligation hits zero, so every leaf covers
-    possible = [len(a) for a in allowed]
-    chosen: list[Pair] = []
-    yielded = 0
-    # depth-first over candidates, leaving cands[i] out before taking it in;
-    # an explicit stack, since a recursive walk is as deep as the pool is wide
-    todo = [(_VISIT, 0)]
-    while todo:
-        step, i = todo.pop()
-        if step == _DROP:
-            chosen.pop()
-        elif step == _TAKE:
-            for j in serves[i]:
-                possible[j] += 1
-            chosen.append(cands[i])
-            todo.append((_DROP, i))
-            todo.append((_VISIT, i + 1))
-        elif i == len(cands):
-            yielded += 1
-            if yielded > cap:
-                raise _cover_guard(fam.source, fam.event, len(cands),
-                                   "cover enumeration", cap)
-            yield frozenset(chosen)
-        else:
-            dead = False
-            for j in serves[i]:
-                possible[j] -= 1
-                if possible[j] == 0:
-                    dead = True
-            todo.append((_TAKE, i))
-            if not dead:
-                todo.append((_VISIT, i + 1))
+    return covers()
 
 
 def in_n_set(w: PowerState, event: str, target: PowerState,
@@ -316,8 +304,7 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
     (the product of the answer counts), checked before anything is
     enumerated.
     """
-    table = ctx.answers(event)
-    edges = [mask for i in _indices(w, ctx) for mask in table[i]]
+    edges = _edges(w, event, ctx)
     if not edges:
         return [frozenset()]
     if not all(edges):
@@ -406,11 +393,7 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
             if not (clause_a(w, ev, ctx) and clause_b(w, ev, ctx)):
                 continue
             if variant == "takai":
-                # read, not filled: a build meets each (W, e) once, and
-                # keeping every cover list would hold them all to the end
-                targets = ctx.covers_memo.get((w, ev))
-                if targets is None:
-                    targets = minimal_covers(w, ev, ctx)
+                targets = minimal_covers(w, ev, ctx)
             else:
                 targets = sorted(n_set_members(w, ev, ctx), key=_canon)
             for w1 in targets:

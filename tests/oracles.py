@@ -223,6 +223,35 @@ def oracle_minimal_u_by_branching(w1, gamma, ctx) -> list:
     return sorted(minima, key=sorted)
 
 
+def oracle_product(s: Automaton, g: Automaton, full: bool) -> Automaton:
+    """S||G from the raw triples: every pair of states when full, else the
+    pairs reached from the initial pairs in naive rounds; an edge wherever
+    both components step on one event."""
+    ds, dg = delta(s), delta(g)
+
+    def steps(y, x):
+        return {(ev, (y1, x1)) for ev in s.alphabet.events
+                for y1 in ds.get((y, ev), ()) for x1 in dg.get((x, ev), ())}
+
+    init = {(y, x) for y in s.initial for x in g.initial}
+    if full:
+        keep = {(y, x) for y in s.states for x in g.states}
+    else:
+        keep = set(init)
+        while True:
+            grown = keep | {q for p in keep for (_, q) in steps(*p)}
+            if grown == keep:
+                break
+            keep = grown
+
+    def pid(p):
+        return "(%s,%s)" % p
+
+    trans = {(pid(p), ev, pid(q)) for p in keep for (ev, q) in steps(*p)}
+    return Automaton(frozenset(map(pid, keep)), s.alphabet, frozenset(trans),
+                     frozenset(map(pid, init)))
+
+
 def all_supervisors(alphabet, n_states: int):
     """Every supervisor shape with exactly n_states states: initial {y0},
     one target subset per (state, event) slot.  Yields Automaton objects."""

@@ -1,13 +1,17 @@
 """Core automata: identifiers, alphabets, composition, reachability."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simsup import (Alphabet, Automaton, InputError, compose, product_id,
                     reach_via, reachable, split_product_id, split_top_level,
                     successors, validate_event_name, validate_state_id)
 from simsup.automata import is_deadlock
+from simsup.randgen import random_pair
 
 from .fixtures import CHAIN_ALPHA, CHAIN_PLANT, chain_sup_a
+from .oracles import oracle_product
 
 
 # --- identifiers -------------------------------------------------------------
@@ -103,6 +107,21 @@ def test_compose_full_product():
     sup = chain_sup_a().automaton
     prod = compose(sup, CHAIN_PLANT, full=True)
     assert len(prod.states) == len(sup.states) * len(CHAIN_PLANT.states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.05, max_value=0.6),
+       st.integers(min_value=1, max_value=2))
+def test_compose_matches_product_oracle(seed, ny, nx, density, n_initial):
+    s, g = random_pair(seed, plant_states=ny, spec_states=nx, n_events=2,
+                       density=density, n_initial=n_initial)
+    for full in (False, True):
+        got, want = compose(s, g, full=full), oracle_product(s, g, full)
+        assert got.states == want.states
+        assert got.transitions == want.transitions
+        assert got.initial == want.initial
 
 
 def test_compose_needs_shared_alphabet():

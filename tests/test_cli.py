@@ -280,6 +280,18 @@ def test_guard_config_rejects_garbage(tmp_path, capsys, chain_files):
     assert rc == 2
 
 
+def test_guard_config_rejects_unknown_keys(tmp_path, capsys, chain_files):
+    g, r, tmp = chain_files
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("max_covers = 9\nmax_sates = 5\n")
+    rc = main(["synthesize", g, r, "--config", str(cfg),
+               "--out", str(tmp / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config %s line 2: unknown key 'max_sates'" % cfg in err
+    assert not (tmp / "x.aut").exists()
+
+
 def test_guard_rejects_nonpositive(tmp_path, chain_files):
     g, r, tmp = chain_files
     rc = main(["synthesize", g, r, "--max-states", "0",

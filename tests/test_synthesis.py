@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
                     SynthesisPreconditionError, check_saturated,
-                    check_simulation, compose, grcheck, synthesis)
+                    check_simulation, compose, synthesis)
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
@@ -106,8 +106,13 @@ def test_n_set_membership_predicate():
 
 
 def test_n_set_enumeration_guard():
-    with pytest.raises(ExplosionGuardError):
-        list(n_set_members(W1, "sigma", chain_ctx(), cap=2))
+    covers = n_set_members(W1, "sigma", chain_ctx(), cap=2)
+    assert next(covers) == W3
+    assert next(covers) == W2
+    with pytest.raises(ExplosionGuardError) as exc:
+        next(covers)
+    assert str(exc.value) == ("cover enumeration cap 2 exceeded at "
+                              "({(x1,z1)}, sigma) with 2 candidate pairs")
 
 
 def test_n_set_members_yield_order():
@@ -260,49 +265,6 @@ def test_minimal_covers_guard_boundary():
     with pytest.raises(ExplosionGuardError) as exc:
         minimal_covers(w, "a", _fan(60, 2, 4096))
     assert str(exc.value).startswith("choice-function enumeration cap 4096 ")
-
-
-def test_minimal_covers_memo_shared_by_check_saturated_and_build(monkeypatch):
-    sup = build(fork_ctx())
-    calls = []
-    real = synthesis.minimal_covers
-
-    def counted(w, event, ctx):
-        calls.append((w, event))
-        return real(w, event, ctx)
-
-    monkeypatch.setattr(synthesis, "minimal_covers", counted)
-    monkeypatch.setattr(grcheck, "minimal_covers", counted)
-    # verify's order: check_saturated fills the memo, the takai build reads it
-    ctx = fork_ctx()
-    assert check_saturated(sup, FORK_PLANT, FORK_SPEC, ctx).verdict == "saturated"
-    assert calls and len(set(calls)) == len(calls) == len(ctx.covers_memo)
-    assert build(ctx).automaton == sup.automaton
-    assert len(calls) == len(ctx.covers_memo)
-    for (w, ev), covers in ctx.covers_memo.items():
-        assert covers == real(w, ev, fork_ctx())
-    # a build alone leaves the memo empty
-    fresh = fork_ctx()
-    build(fresh)
-    assert not fresh.covers_memo
-
-
-def test_minimal_covers_memo_skips_guard_trips():
-    ctx = _fan(2, 2, 3)
-    w = frozenset({("p", "z")})
-    cover = frozenset({("q0", "r0"), ("q1", "r0")})
-    sup = supervisor_from_pair_sets(ctx.plant.alphabet, [w], [(w, "a", cover)])
-    messages = []
-    for _ in range(2):
-        with pytest.raises(ExplosionGuardError) as exc:
-            check_saturated(sup, ctx.plant, ctx.spec, ctx)
-        messages.append(str(exc.value))
-    with pytest.raises(ExplosionGuardError) as exc:
-        build(ctx)
-    messages.append(str(exc.value))
-    assert len(set(messages)) == 1
-    assert messages[0].startswith("choice-function enumeration cap 3 ")
-    assert not ctx.covers_memo
 
 
 # --- initial states ----------------------------------------------------------
