@@ -8,10 +8,10 @@ fixpoint, checks the generated-and-saturated clause conditions, and supports
 a partial-observation variant over triple states.
 """
 
-from .automata import (Alphabet, Automaton, ProductState, compose, product_id,
-                       reach_via, reachable, split_product_id,
-                       split_top_level, successors, validate_event_name,
-                       validate_state_id)
+from .automata import (Alphabet, Automaton, ProductState, bisim_quotient,
+                       compose, product_id, reach_via, reachable,
+                       split_product_id, split_top_level, successors,
+                       validate_event_name, validate_state_id)
 from .autfile import (automaton_digest, format_automaton, load_automaton,
                       parse_automaton, save_automaton, sidecar_payload,
                       write_sidecar)
@@ -40,7 +40,8 @@ from .synthesis import (CoverFamily, Guards, SupervisorAutomaton,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Automaton", "ProductState", "compose", "product_id",
+    "Alphabet", "Automaton", "ProductState", "bisim_quotient", "compose",
+    "product_id",
     "reach_via", "reachable", "split_product_id", "split_top_level",
     "successors", "validate_event_name", "validate_state_id",
     "automaton_digest", "format_automaton", "load_automaton",

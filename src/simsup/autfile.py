@@ -28,6 +28,13 @@ def parse_automaton(text: str) -> Automaton:
     states: set[str] = set()
     initial: set[str] = set()
     transitions: set[tuple[str, str, str]] = set()
+    checked: set[str] = set()  # state ids already validated
+
+    def state_id(name: str) -> str:
+        if name not in checked:
+            checked.add(validate_state_id(name))
+        return name
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,17 +59,19 @@ def parse_automaton(text: str) -> Automaton:
                     events[name] = (ctrl == "c", obs == "o")
             elif line.startswith("states:"):
                 for item in split_top_level(line[len("states:"):]):
-                    states.add(validate_state_id(item))
+                    states.add(state_id(item))
             elif line.startswith("initial:"):
                 for item in split_top_level(line[len("initial:"):]):
-                    initial.add(validate_state_id(item))
+                    initial.add(state_id(item))
             elif line.startswith("trans:"):
                 m = _TRANS_RE.match(line[len("trans:"):].strip())
                 if not m:
                     raise InputError("bad transition %r" % line)
-                src = validate_state_id(m.group("src"))
-                ev = validate_event_name(m.group("ev"))
-                tgt = validate_state_id(m.group("tgt"))
+                src, ev, tgt = m.groups()
+                state_id(src)
+                if ev not in events:  # a declared name was validated then
+                    validate_event_name(ev)
+                state_id(tgt)
                 if ev not in events:
                     raise InputError(
                         "undeclared event %r (declare events before use)" % ev)

@@ -255,6 +255,61 @@ def compose(s: Automaton, g: Automaton, full: bool = False) -> Automaton:
                      s.alphabet, frozenset(trans), init)
 
 
+def bisim_quotient(a: Automaton) -> Automaton:
+    """Quotient of a by its greatest strong bisimulation over all events.
+
+    Signature refinement (Kanellakis & Smolka 1990): blocks are split by the
+    set of (event, successor block) moves of their members until no block
+    splits.  Only states with a successor that changed block are signed
+    again, so a chain that splits one block per round costs linear work, not
+    quadratic.  A class is named by its least member, so every quotient id
+    is one of a's ids; transitions and initial states are the images of
+    a's.  The quotient is bisimilar to a, so any closed loop or simulation
+    verdict taken on it is a's verdict.  Returns a itself when no two states
+    are bisimilar.
+    """
+    states = a.sorted_states
+    index = {s: i for i, s in enumerate(states)}
+    moves = [[] for _ in states]
+    preds = [[] for _ in states]
+    for (src, ev, tgt) in a.transitions:
+        i, j = index[src], index[tgt]
+        moves[i].append((ev, j))
+        preds[j].append(i)
+    # every member of a block not re-signed this round has the block's
+    # signature, since none of its successors changed block
+    block, size, signature = [0] * len(states), [len(states)], [None]
+    dirty = range(len(states))
+    while dirty:
+        parts = {}
+        for i in dirty:
+            sig = frozenset((ev, block[j]) for (ev, j) in moves[i])
+            parts.setdefault(block[i], {}).setdefault(sig, []).append(i)
+        moved = []
+        for b, by_sig in parts.items():
+            if sum(map(len, by_sig.values())) == size[b]:
+                signature[b] = next(iter(by_sig))  # all re-signed: one stays
+            for sig, members in by_sig.items():
+                if sig != signature[b]:
+                    size[b] -= len(members)
+                    for i in members:
+                        block[i] = len(size)
+                    size.append(len(members))
+                    signature.append(sig)
+                    moved += members
+        dirty = {p for i in moved for p in preds[i]}
+    if len(size) == len(states):
+        return a
+    least = {}
+    for s, b in zip(states, block):
+        least.setdefault(b, s)
+    name = {s: least[b] for s, b in zip(states, block)}
+    return Automaton(frozenset(least.values()), a.alphabet,
+                     frozenset((name[src], ev, name[tgt])
+                               for (src, ev, tgt) in a.transitions),
+                     frozenset(name[s] for s in a.initial))
+
+
 def reachable(a: Automaton) -> dict[str, tuple[str, ...]]:
     """Breadth-first reachable set with a shortest witness trace per state.
 

@@ -2,7 +2,8 @@
 
 Subcommands: check, synthesize, verify, compose, random, export-dot.
 Exit codes: 0 success / property holds, 1 property fails, 2 input error,
-3 explosion guard or rejection limit tripped.
+3 explosion guard or rejection limit tripped, or recursion depth or memory
+exhausted.
 
 Guard caps resolve in order: command-line flag, config file (key=value lines,
 '#' comments), environment (SIMSUP_MAX_STATES / SIMSUP_MAX_COVERS), default.
@@ -27,8 +28,8 @@ from .partial import build_partial
 from .randgen import random_pair, random_uc_pair
 from .simulation import check_simulation, simulates
 from .synthesis import (Guards, SupervisorAutomaton, SynthesisContext, build,
-                        closed_loop, loop_admissible, loop_in_sp,
-                        payloads_from_ids, prune_deadlocks)
+                        loop_admissible, loop_in_sp, payloads_from_ids,
+                        prune_deadlocks, verdict_loop)
 
 ENV_MAX_STATES = "SIMSUP_MAX_STATES"
 ENV_MAX_COVERS = "SIMSUP_MAX_COVERS"
@@ -157,9 +158,10 @@ def cmd_verify(args) -> int:
     guards = resolve_guards(args)
     ok_all = True
 
-    # each closed loop is composed once and serves every check below
-    loop = closed_loop(sup_auto, plant)
-    admissible, witness = loop_admissible(loop, plant)
+    # each verdict loop is composed once and serves every check below; only
+    # a witness needs the full loop
+    loop = verdict_loop(sup_auto, plant)
+    admissible, witness = loop_admissible(sup_auto, plant, loop)
     print("admissible: %s" % ("yes" if admissible else "no"))
     if not admissible:
         print("  witness: uncontrollable %r disabled at product state (%s,%s)"
@@ -188,7 +190,7 @@ def cmd_verify(args) -> int:
             print("  note: %s" % note)
         ok_all = ok_all and report.verdict == "saturated"
 
-    takai_loop = closed_loop(build(ctx, "takai").automaton, plant)
+    takai_loop = verdict_loop(build(ctx, "takai").automaton, plant)
     below = simulates(loop, takai_loop, "full")
     above = simulates(takai_loop, loop, "full")
     print("loop below takai loop: %s" % ("yes" if below else "no"))
@@ -338,6 +340,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("resource limit: recursion depth exceeded", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

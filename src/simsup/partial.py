@@ -19,7 +19,7 @@ from .errors import ExplosionGuardError, InputError
 from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
                         SynthesisContext, _matchable, clause_a, closed_loop,
-                        initial_power_states, loop_admissible, minimal_covers,
+                        disabled_move, initial_power_states, minimal_covers,
                         render_pairs)
 
 
@@ -224,8 +224,8 @@ def is_admissible_partial(s: Automaton, g: Automaton):
     unobservable edge.
     """
     loop = closed_loop(s, g)
-    ok, witness = loop_admissible(loop, g)
-    if not ok:
+    witness = disabled_move(loop, g)
+    if witness is not None:
         return False, witness
     unobservable = sorted(g.alphabet.unobservable)
     for pid in loop.sorted_states:

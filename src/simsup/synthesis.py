@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .automata import (Automaton, compose, is_deadlock, split_product_id,
-                       split_top_level)
+from .automata import (Automaton, bisim_quotient, compose, is_deadlock,
+                       split_product_id, split_top_level)
 from .errors import ExplosionGuardError, InputError, SynthesisPreconditionError
 from .simulation import Pair, bit_positions, greatest_uc_fixpoint, simulates
 
@@ -436,15 +436,40 @@ def closed_loop(s: Automaton, g: Automaton) -> Automaton:
     return compose(s, g)
 
 
-def loop_admissible(loop: Automaton, g: Automaton):
-    """is_admissible over an already composed closed loop S||G."""
+def disabled_move(loop: Automaton, g: Automaton):
+    """The lexicographically least ((y,x), event) of a closed loop at which
+    the plant can take an uncontrollable event and the loop cannot, or None."""
     uc = sorted(g.alphabet.uncontrollable)
     for pid in loop.sorted_states:
         pair = split_product_id(pid)
         for ev in uc:
             if g.succ.get((pair.right, ev)) and not loop.succ.get((pid, ev)):
-                return False, (pair, ev)
-    return True, None
+                return (pair, ev)
+    return None
+
+
+def verdict_loop(s: Automaton, g: Automaton) -> Automaton:
+    """The closed loop on which verdicts about s are read: that of s's
+    bisimulation quotient with g.
+
+    Bisimilarity is a congruence for synchronous composition and lies inside
+    the simulation preorder both ways, and bisimilar states enable the same
+    events, so admissibility, SP membership and every loop-below-loop answer
+    taken on it are those of the full loop S||G.  Witnesses and relations
+    come from the full loop.
+    """
+    return closed_loop(bisim_quotient(s), g)
+
+
+def loop_admissible(s: Automaton, g: Automaton, quotient_loop: Automaton):
+    """is_admissible(s, g), given verdict_loop(s, g).
+
+    The verdict is read off that loop.  Only when it is no is the full loop
+    S||G composed, for the lexicographically least witness.
+    """
+    if disabled_move(quotient_loop, g) is None:
+        return True, None
+    return False, disabled_move(closed_loop(s, g), g)
 
 
 def is_admissible(s: Automaton, g: Automaton):
@@ -453,23 +478,24 @@ def is_admissible(s: Automaton, g: Automaton):
     Returns (True, None) or (False, ((y,x), event)) with the lexicographically
     least reachable violation.
     """
-    return loop_admissible(closed_loop(s, g), g)
+    return loop_admissible(s, g, verdict_loop(s, g))
 
 
 def loop_in_sp(loop: Automaton, g: Automaton, r: Automaton) -> bool:
-    """in_sp over an already composed closed loop S||G."""
-    return loop_admissible(loop, g)[0] and simulates(loop, r, "full")
+    """in_sp over an already composed closed loop S||G, or over the loop of
+    a supervisor bisimilar to S: the verdict is the same."""
+    return disabled_move(loop, g) is None and simulates(loop, r, "full")
 
 
 def in_sp(s: Automaton, g: Automaton, r: Automaton) -> bool:
     """Supervisor membership: admissible and the closed loop is simulated by
     the spec."""
-    return loop_in_sp(closed_loop(s, g), g, r)
+    return loop_in_sp(verdict_loop(s, g), g, r)
 
 
 def more_permissive(s1: Automaton, s2: Automaton, g: Automaton) -> bool:
     """True iff s2's closed loop simulates s1's: s1||G below s2||G."""
-    return simulates(compose(s1, g), compose(s2, g), "full")
+    return simulates(verdict_loop(s1, g), verdict_loop(s2, g), "full")
 
 
 def supervisor_from_pair_sets(alphabet, initial_sets, edges, tag: str = "user",

@@ -39,6 +39,32 @@ def oracle_greatest_simulation(g: Automaton, r: Automaton, events) -> set:
     return sim
 
 
+def oracle_bisimulation_classes(a: Automaton) -> set:
+    """Classes of the greatest strong bisimulation of a with itself over all
+    events, as a set of frozensets of states.
+
+    Naive refinement from all pairs: drop (s,t) when some move of either
+    side has no same-event answer from the other inside the pairs, until
+    nothing changes.
+    """
+    d = delta(a)
+    events = a.alphabet.events
+
+    def answered(s, t, rel):
+        return all(any((s1, t1) in rel for t1 in d.get((t, ev), ()))
+                   for ev in events for s1 in d.get((s, ev), ()))
+
+    rel = {(s, t) for s in a.states for t in a.states}
+    while True:
+        inverse = {(t, s) for (s, t) in rel}
+        nxt = {(s, t) for (s, t) in rel
+               if answered(s, t, rel) and answered(t, s, inverse)}
+        if nxt == rel:
+            break
+        rel = nxt
+    return {frozenset(t for t in a.states if (s, t) in rel) for s in a.states}
+
+
 def oracle_check_simulation(g: Automaton, r: Automaton, mode: str) -> bool:
     """Does r (uc-)simulate g?  Initial condition over the oracle fixpoint."""
     events = (sorted(g.alphabet.uncontrollable) if mode == "uc"
@@ -310,6 +336,20 @@ def oracle_admissible(s: Automaton, g: Automaton) -> bool:
             if dg.get((x, ev), ()) and not ds.get((y, ev), ()):
                 return False
     return True
+
+
+def oracle_admissibility_witness(s: Automaton, g: Automaton):
+    """The least ((y,x), event) of the reachable closed loop, by product id
+    and then event name, at which g can take an uncontrollable event and s
+    cannot; None when s is admissible."""
+    dg, ds = delta(g), delta(s)
+    live = oracle_product(s, g, False).states
+    bad = sorted(("(%s,%s)" % (y, x), ev, (y, x))
+                 for y in s.states for x in g.states
+                 if "(%s,%s)" % (y, x) in live
+                 for ev in s.alphabet.uncontrollable
+                 if dg.get((x, ev), ()) and not ds.get((y, ev), ()))
+    return (bad[0][2], bad[0][1]) if bad else None
 
 
 def oracle_in_sp(s: Automaton, g: Automaton, r: Automaton) -> bool:

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsup import (Alphabet, Automaton, InputError, compose, product_id,
-                    reach_via, reachable, split_product_id, split_top_level,
-                    successors, validate_event_name, validate_state_id)
+from simsup import (Alphabet, Automaton, InputError, bisim_quotient, compose,
+                    product_id, reach_via, reachable, split_product_id,
+                    split_top_level, successors, validate_event_name,
+                    validate_state_id)
 from simsup.automata import is_deadlock
 from simsup.randgen import random_pair
+from simsup.synthesis import SynthesisContext, build
 
 from .fixtures import CHAIN_ALPHA, CHAIN_PLANT, chain_sup_a
-from .oracles import oracle_product
+from .oracles import oracle_bisimulation_classes, oracle_product
+from .pool import uc_instance
 
 
 # --- identifiers -------------------------------------------------------------
@@ -129,6 +132,82 @@ def test_compose_needs_shared_alphabet():
     lone = Automaton.build(other, [], ["q"])
     with pytest.raises(InputError):
         compose(CHAIN_PLANT, lone)
+
+
+# --- bisimulation quotient ---------------------------------------------------
+
+def _renamed(a: Automaton, prefix: str) -> Automaton:
+    name = {s: prefix + s for s in a.states}
+    return Automaton(frozenset(name.values()), a.alphabet,
+                     frozenset((name[s], ev, name[t])
+                               for (s, ev, t) in a.transitions),
+                     frozenset(name[s] for s in a.initial))
+
+
+def _union(a: Automaton, b: Automaton) -> Automaton:
+    return Automaton(a.states | b.states, a.alphabet,
+                     a.transitions | b.transitions, a.initial | b.initial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3),
+       st.floats(min_value=0.05, max_value=0.6),
+       st.integers(min_value=1, max_value=2))
+def test_bisim_quotient_matches_oracle_classes(seed, n, n_events, density,
+                                               n_initial):
+    plant, spec = random_pair(seed, plant_states=n, spec_states=n,
+                              n_events=n_events, density=density,
+                              n_initial=n_initial)
+    # the unions put bisimilar twins side by side: a plant and its renamed
+    # copy, and two random automata over one alphabet
+    for a in (plant, _union(plant, spec), _union(plant, _renamed(plant, "w"))):
+        classes = oracle_bisimulation_classes(a)
+        least = {s: min(c) for c in classes for s in c}
+        q = bisim_quotient(a)
+        # one state per class, named by its least member
+        assert q.states == {min(c) for c in classes}
+        assert q.transitions == {(least[s], ev, least[t])
+                                 for (s, ev, t) in a.transitions}
+        assert q.initial == {least[s] for s in a.initial}
+        assert bisim_quotient(q) == q
+
+
+def test_bisim_quotient_keeps_a_minimal_automaton():
+    assert bisim_quotient(CHAIN_PLANT) is CHAIN_PLANT
+
+
+def test_bisim_quotient_merges_twins():
+    twins = Automaton.build(CHAIN_ALPHA,
+                            [("p", "sigma", "q2"), ("p", "sigma", "q1"),
+                             ("q1", "c", "d"), ("q2", "c", "d")], ["p"])
+    q = bisim_quotient(twins)
+    assert q.states == {"p", "q1", "d"}
+    assert q.transitions == {("p", "sigma", "q1"), ("q1", "c", "d")}
+
+
+def test_bisim_quotient_of_long_chains():
+    # chains a and b are twins; c ends in a loop, so every c state differs
+    # from every a state, and the splits reach the chain heads one round at a
+    # time: a refinement that re-signs every state each round is quadratic
+    n = 1500
+    chain = {k: ["%s%04d" % (k, i) for i in range(n)] for k in "abc"}
+    trans = [(c[i], "sigma", c[i + 1]) for c in chain.values()
+             for i in range(n - 1)]
+    a = Automaton.build(CHAIN_ALPHA, trans + [(chain["c"][-1], "c",
+                                               chain["c"][-1])],
+                        [chain["a"][0], chain["b"][0]])
+    q = bisim_quotient(a)
+    assert q.states == set(chain["a"]) | set(chain["c"])
+    assert q.transitions == {t for t in a.transitions if t[0][0] != "b"}
+    assert q.initial == {chain["a"][0]}
+
+
+def test_pool_draw_2_supervisor_is_bisimilar_to_one_state():
+    plant, spec, _ = uc_instance(2)
+    sup = build(SynthesisContext(plant, spec), "takai").automaton
+    assert len(sup.states) == 500
+    assert len(bisim_quotient(sup).states) == 1
 
 
 # --- reachability ------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from simsup import (check_simulation, compose, format_automaton,
-                    is_simulation_relation, load_automaton)
+from simsup import (Alphabet, Automaton, check_simulation, cli, compose,
+                    format_automaton, is_admissible, is_simulation_relation,
+                    load_automaton)
 from simsup.cli import main, resolve_guards, build_parser
+from simsup.synthesis import disabled_move
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT, FORK_SPEC, FORK_S1
 from .pool import uc_instance
@@ -197,6 +199,45 @@ def test_verify_plain_supervisor_fails_permissiveness(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "skipped" in report  # y0/y1/y2 ids carry no payloads
     assert "takai loop below this loop (maximality surrogate): no" in report
+
+
+def test_verify_witness_comes_from_the_full_loop(tmp_path, capsys):
+    # y1 and y2 both deadlock, so they are bisimilar and the quotient names
+    # both y1; the violation is reachable only at (y2,x2)
+    alpha = Alphabet.build(["a", "b", "u"], controllable=["a", "b"])
+    plant = Automaton.build(alpha, [("x0", "a", "x1"), ("x0", "b", "x2"),
+                                    ("x2", "u", "x3")], ["x0"])
+    sup = Automaton.build(alpha, [("y0", "a", "y1"), ("y0", "b", "y2")],
+                          ["y0"])
+    g = tmp_path / "g.aut"
+    s = tmp_path / "s.aut"
+    g.write_text(format_automaton(plant))
+    s.write_text(format_automaton(sup))
+    assert main(["verify", str(s), str(g), str(g)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    full = disabled_move(compose(sup, plant), plant)
+    assert is_admissible(sup, plant) == (False, full)
+    assert full == (("y2", "x2"), "u")
+    assert lines[:2] == [
+        "admissible: no",
+        "  witness: uncontrollable 'u' disabled at product state (y2,x2)"]
+
+
+# --- exit codes for exhausted resources --------------------------------------
+
+@pytest.mark.parametrize("error,message", [
+    (RecursionError, "resource limit: recursion depth exceeded"),
+    (MemoryError, "resource limit: out of memory"),
+])
+def test_exhausted_resources_exit_3(chain_files, capsys, monkeypatch, error,
+                                    message):
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    g, r, _ = chain_files
+    monkeypatch.setattr(cli, "check_simulation", exhausted)
+    assert main(["check", g, r]) == 3
+    assert capsys.readouterr().err == message + "\n"
 
 
 # --- compose / random / export-dot -------------------------------------------

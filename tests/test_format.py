@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsup import (Guards, ParseError, automaton_digest, format_automaton,
-                    parse_automaton, sidecar_payload)
+from simsup import (Guards, ParseError, autfile, automaton_digest,
+                    format_automaton, parse_automaton, sidecar_payload)
 from simsup.partial import build_partial
 from simsup.randgen import random_pair
 from simsup.synthesis import SynthesisContext, build
@@ -69,6 +69,33 @@ def test_parse_errors_carry_line_numbers(text, lineno):
         parse_automaton(text)
     if lineno:
         assert "line %d" % lineno in str(err.value)
+
+
+def test_bad_state_id_first_on_a_transition_line():
+    text = ("events: a:uc:o\ninitial: q\ntrans: q -a-> q\n"
+            "trans: q -a-> (r\ntrans: (r -a-> q\n")
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text)
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: unbalanced brackets in state id '(r'"
+
+
+def test_bad_target_reported_before_an_undeclared_event():
+    with pytest.raises(ParseError) as err:
+        parse_automaton("events: a:uc:o\ninitial: q\ntrans: q -b-> q)\n")
+    assert str(err.value) == "line 3: unbalanced ')' in state id 'q)'"
+
+
+def test_each_state_id_is_validated_once(monkeypatch):
+    seen = []
+
+    def counting(name):
+        seen.append(name)
+        return name
+
+    monkeypatch.setattr(autfile, "validate_state_id", counting)
+    parse_automaton(GOOD + "states: x0, x1\ntrans: x0 -c-> x1\n")
+    assert sorted(seen) == ["x0", "x1"]
 
 
 def test_digest_is_representation_independent():

@@ -23,7 +23,8 @@ from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
 from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, FORK_S1, W0, W1, W2, W3, W4, W5,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
-from .oracles import (oracle_admissible, oracle_greatest_simulation,
+from .oracles import (oracle_admissibility_witness, oracle_admissible,
+                      oracle_greatest_simulation,
                       oracle_cover_family, oracle_in_sp, oracle_loop_below,
                       oracle_matchable, oracle_minimal,
                       oracle_minimal_covers_by_choice, oracle_n_set,
@@ -436,6 +437,40 @@ def test_loop_fixpoints_match_oracle_on_pool():
                 compared += 1
                 shrunk += len(expected) < len(a.states) * len(b.states)
     assert compared > 1000 and shrunk > 100
+
+
+def test_quotient_verdicts_match_oracles_on_pool():
+    # is_admissible, in_sp and more_permissive judge the loops of the
+    # supervisors' bisimulation quotients; the oracles compose the unreduced
+    # loops.  Thinning a build (every other transition) makes supervisors
+    # that fail, so both answers of every verdict are exercised.
+    compared, verdicts = 0, set()
+    for seed in range(500):
+        plant, spec, _ = uc_instance(seed)
+        sup = build(SynthesisContext(plant, spec), "takai")
+        takai = sup.automaton
+        thinned = Automaton(takai.states, takai.alphabet,
+                            frozenset(sorted(takai.transitions)[::2]),
+                            takai.initial)
+        sups = [takai, prune_deadlocks(sup).automaton, thinned]
+        if any(len(compose(s, plant).states) > 60 for s in sups):
+            continue
+        for s in sups:
+            ok, witness = is_admissible(s, plant)
+            assert ok == oracle_admissible(s, plant), seed
+            assert witness == oracle_admissibility_witness(s, plant), seed
+            member = in_sp(s, plant, spec)
+            assert member == oracle_in_sp(s, plant, spec), seed
+            verdicts |= {("admissible", ok), ("in_sp", member)}
+        for s1, s2 in itertools.permutations(sups, 2):
+            below = more_permissive(s1, s2, plant)
+            assert below == oracle_loop_below(s1, s2, plant), seed
+            verdicts.add(("below", below))
+        compared += 1
+    assert compared > 400
+    assert verdicts == {(name, answer)
+                        for name in ("admissible", "in_sp", "below")
+                        for answer in (True, False)}
 
 
 # --- assembly helpers --------------------------------------------------------
