@@ -126,13 +126,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.partial and args.variant is not None:
+        raise InputError("--variant does not apply to the --partial construction")
     plant = load_automaton(args.plant)
     spec = load_automaton(args.spec)
     guards = resolve_guards(args)
     if args.partial:
         sup = build_partial(plant, spec, guards)
     else:
-        sup = build(SynthesisContext(plant, spec, guards), args.variant)
+        sup = build(SynthesisContext(plant, spec, guards), args.variant or "takai")
     if args.prune_deadlocks:
         sup = prune_deadlocks(sup)
     aut_path = args.out + ".aut"
@@ -268,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synthesize", help="build a supervisor")
     p.add_argument("plant")
     p.add_argument("spec")
-    p.add_argument("--variant", choices=("takai", "variant1"),
-                   default="takai")
+    # no default, so that --partial can tell an explicit --variant apart
+    p.add_argument("--variant", choices=("takai", "variant1"))
     p.add_argument("--prune-deadlocks", action="store_true")
     p.add_argument("--partial", action="store_true",
                    help="partial-observation construction over triple states")

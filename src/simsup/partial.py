@@ -11,16 +11,16 @@ edge for edge, onto the takai construction.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .automata import Alphabet, Automaton, split_product_id
-from .errors import ExplosionGuardError, InputError
+from .errors import ExplosionGuardError
 from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _matchable, clause_a, closed_loop,
-                        disabled_move, initial_power_states, minimal_covers,
-                        render_pairs)
+                        SynthesisContext, _explore, _indices, _matchable,
+                        clause_a, closed_loop, disabled_move,
+                        initial_power_states, minimal_covers, render_pairs)
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,16 @@ class TripleState:
     w1: PowerState
     gamma_uo: frozenset[str]
     w2: PowerState
+    # rendered once, as a build both sorts and names triples by it
+    tid: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w1", frozenset(self.w1))
         object.__setattr__(self, "gamma_uo", frozenset(self.gamma_uo))
         object.__setattr__(self, "w2", frozenset(self.w2))
-
-    @property
-    def tid(self) -> str:
         gamma = "{%s}" % ",".join(sorted(self.gamma_uo))
-        return "<%s|%s|%s>" % (render_pairs(self.w1), gamma, render_pairs(self.w2))
+        object.__setattr__(self, "tid", "<%s|%s|%s>" % (
+            render_pairs(self.w1), gamma, render_pairs(self.w2)))
 
 
 def gamma_candidates(alphabet: Alphabet) -> list[frozenset[str]]:
@@ -62,11 +62,8 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
-    if not w1 <= ctx.w_up:
-        raise InputError("W1 must lie inside the greatest matching fixpoint")
+    root = sum(1 << i for i in _indices(w1, ctx))
     tables = [ctx.answers(ev) for ev in sorted(gamma)]
-    index = ctx.pair_index
-    root = sum(1 << index[pair] for pair in w1)
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
@@ -173,46 +170,31 @@ def build_partial(plant: Automaton, spec: Automaton,
     """
     ctx = SynthesisContext(plant, spec, guards)
     gammas = gamma_candidates(plant.alphabet)
-    # core -> ids of its completions: each core is completed once, and since
-    # a triple holds its core, a core met again only adds edges
-    completed: dict[PowerState, list[str]] = {}
-    inits: dict[str, TripleState] = {}
-    for w01 in initial_power_states(ctx):
-        ys = _completions(w01, gammas, ctx)
-        completed[w01] = [y.tid for y in ys]
-        inits.update(zip(completed[w01], ys))
-    payloads = {tid: inits[tid] for tid in sorted(inits)}
-    queue = deque(payloads)
-    edges = set()
-    while queue:
-        src = queue.popleft()
-        y = payloads[src]
+    # each core is completed once; since a triple holds its core, a core met
+    # again only adds edges
+    completed: dict[PowerState, list[TripleState]] = {}
+
+    def completions(w1):
+        ys = completed.get(w1)
+        if ys is None:
+            ys = completed[w1] = _completions(w1, gammas, ctx)
+        return ys
+
+    def step(y):
         for ev in sorted(y.gamma_uo):
-            edges.add((src, ev, src))
+            yield ev, (y,)
         for ev in sigma_y(y, ctx):
             for w1 in minimal_covers(y.w2, ev, ctx):
-                targets = completed.get(w1)
-                if targets is None:
-                    targets = completed[w1] = []
-                    for y1 in _completions(w1, gammas, ctx):
-                        tid = y1.tid
-                        if len(payloads) >= ctx.guards.max_states:
-                            raise ExplosionGuardError(
-                                "supervisor state cap %d exceeded when reaching %s"
-                                % (ctx.guards.max_states, tid))
-                        payloads[tid] = y1
-                        queue.append(tid)
-                        targets.append(tid)
-                for tid in targets:
-                    edges.add((src, ev, tid))
-    auto = Automaton(frozenset(payloads), plant.alphabet, frozenset(edges),
-                     frozenset(inits))
+                yield ev, completions(w1)
+
+    inits = [y for w01 in initial_power_states(ctx) for y in completions(w01)]
     notes = ()
     if plant.alphabet.unobservable:
         notes = ("successor observation masks are not pinned by the step rule; "
                  "every admissible (gamma, closure) completion is materialized "
                  "as a distinct state",)
-    return SupervisorAutomaton(auto, payloads, "partial", guards, notes)
+    tid = attrgetter("tid")
+    return _explore(ctx, sorted(inits, key=tid), step, tid, "partial", notes)
 
 
 def is_admissible_partial(s: Automaton, g: Automaton):

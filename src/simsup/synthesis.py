@@ -151,7 +151,7 @@ def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
     order); raises InputError naming the least pair outside the fixpoint."""
     index = ctx.pair_index
     try:
-        return sorted(index[p] for p in w)
+        return sorted(map(index.__getitem__, w))
     except KeyError:
         raise InputError("PowerState pair (%s,%s) outside the fixpoint"
                          % min(p for p in w if p not in index)) from None
@@ -200,13 +200,12 @@ def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
         % (count_kind, cap, render_pairs(w), event, candidates))
 
 
-def n_set_members(w: PowerState, event: str, ctx: SynthesisContext,
-                  cap: int | None = None):
+def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
     """Lazily enumerate every cover of (w, event): each subset of the candidate
     pairs answering every obligation.  Raises the explosion guard when the
-    consumer pulls more than cap members (default: context guard)."""
+    consumer pulls more than the context's cover cap."""
     edges = _edges(w, event, ctx)
-    cap = ctx.guards.max_covers if cap is None else cap
+    cap = ctx.guards.max_covers
     pool = 0
     for e in edges:
         pool |= e
@@ -368,6 +367,42 @@ class SupervisorAutomaton:
     notes: tuple[str, ...] = ()
 
 
+def _explore(ctx: SynthesisContext, initial, step, name, tag: str,
+             notes: tuple[str, ...] = ()) -> SupervisorAutomaton:
+    """Breadth-first construction of a supervisor from its initial payloads.
+
+    step(p) yields (event, target payloads) for each edge bundle leaving p.
+    Each state's id is rendered once, by name(p), when its payload is first
+    reached.  The initial states are all kept; reaching any other new state
+    when the supervisor already holds max_states trips the state cap.
+    """
+    ids = {p: name(p) for p in initial}
+    payloads = {pid: p for p, pid in ids.items()}
+    queue = deque(ids)
+    init = frozenset(payloads)
+    cap = ctx.guards.max_states
+    edges = set()
+    while queue:
+        p = queue.popleft()
+        src = ids[p]
+        for ev, targets in step(p):
+            for p1 in targets:
+                tid = ids.get(p1)
+                if tid is None:
+                    tid = name(p1)
+                    if len(payloads) >= cap:
+                        raise ExplosionGuardError(
+                            "supervisor state cap %d exceeded when reaching %s"
+                            % (cap, tid))
+                    ids[p1] = tid
+                    payloads[tid] = p1
+                    queue.append(p1)
+                edges.add((src, ev, tid))
+    auto = Automaton(frozenset(payloads), ctx.plant.alphabet, frozenset(edges),
+                     init)
+    return SupervisorAutomaton(auto, payloads, tag, ctx.guards, notes)
+
+
 def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     """Breadth-first construction of the reachable supervisor.
 
@@ -375,42 +410,16 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     """
     if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
-    inits = initial_power_states(ctx)
-    events = ctx.plant.alphabet.events
-    ids: dict[PowerState, str] = {}  # each id rendered once, when first reached
-    payloads: dict[str, PowerState] = {}
-    queue = deque()
-    for w in inits:
-        if w not in ids:
-            pid = ids[w] = render_pairs(w)
-            payloads[pid] = w
-            queue.append(w)
-    edges = set()
-    while queue:
-        w = queue.popleft()
-        src = ids[w]
-        for ev in events:
-            if not (clause_a(w, ev, ctx) and clause_b(w, ev, ctx)):
-                continue
-            if variant == "takai":
-                targets = minimal_covers(w, ev, ctx)
-            else:
-                targets = sorted(n_set_members(w, ev, ctx), key=_canon)
-            for w1 in targets:
-                tid = ids.get(w1)
-                if tid is None:
-                    tid = render_pairs(w1)
-                    if len(payloads) >= ctx.guards.max_states:
-                        raise ExplosionGuardError(
-                            "supervisor state cap %d exceeded when reaching %s"
-                            % (ctx.guards.max_states, tid))
-                    ids[w1] = tid
-                    payloads[tid] = w1
-                    queue.append(w1)
-                edges.add((src, ev, tid))
-    auto = Automaton(frozenset(payloads), ctx.plant.alphabet, frozenset(edges),
-                     frozenset(ids[w] for w in inits))
-    return SupervisorAutomaton(auto, payloads, variant, ctx.guards)
+
+    def step(w):
+        for ev in ctx.plant.alphabet.events:
+            if clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
+                if variant == "takai":
+                    yield ev, minimal_covers(w, ev, ctx)
+                else:
+                    yield ev, sorted(n_set_members(w, ev, ctx), key=_canon)
+
+    return _explore(ctx, initial_power_states(ctx), step, render_pairs, variant)
 
 
 def prune_deadlocks(sup: SupervisorAutomaton) -> SupervisorAutomaton:

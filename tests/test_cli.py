@@ -114,6 +114,21 @@ def test_synthesize_partial(chain_files):
     assert body["payloads"]
 
 
+def test_synthesize_partial_rejects_variant(chain_files, capsys):
+    # the partial construction has no variants: an explicit --variant is an
+    # input error, not silently ignored
+    g, r, tmp = chain_files
+    for variant in ("takai", "variant1"):
+        rc = main(["synthesize", g, r, "--partial", "--variant", variant,
+                   "--out", str(tmp / "pv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: --variant does not apply to the "
+                                "--partial construction\n")
+        assert not (tmp / "pv.aut").exists()
+
+
 def test_synthesize_guard_exit_3(chain_files, capsys):
     g, r, tmp = chain_files
     rc = main(["synthesize", g, r, "--max-states", "2",

@@ -302,6 +302,15 @@ def test_build_partial_outputs_pinned(seed, nx, nz, expected):
     assert got == expected
 
 
+def test_build_partial_state_cap_trip_point():
+    assert len(build_partial(UO_PLANT, UO_SPEC,
+                             Guards(max_states=3)).automaton.states) == 3
+    with pytest.raises(ExplosionGuardError) as exc:
+        build_partial(UO_PLANT, UO_SPEC, Guards(max_states=2))
+    assert str(exc.value) == ("supervisor state cap 2 exceeded when reaching "
+                              "<{(x3,z4)}|{sigma}|{(x3,z4)}>")
+
+
 def test_admissible_partial_flags_moving_unobservables():
     # y0 -sigma-> y1 changes supervisor state on an unobservable event
     s = Automaton.build(

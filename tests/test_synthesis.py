@@ -107,7 +107,7 @@ def test_n_set_membership_predicate():
 
 
 def test_n_set_enumeration_guard():
-    covers = n_set_members(W1, "sigma", chain_ctx(), cap=2)
+    covers = n_set_members(W1, "sigma", chain_ctx(max_covers=2))
     assert next(covers) == W3
     assert next(covers) == W2
     with pytest.raises(ExplosionGuardError) as exc:
@@ -343,6 +343,18 @@ def test_build_variant_validation():
 def test_build_state_guard():
     with pytest.raises(ExplosionGuardError):
         build(chain_ctx(max_states=2))
+
+
+@pytest.mark.parametrize("ctx_of,variant,n", [
+    (chain_ctx, "takai", 5), (chain_ctx, "variant1", 6), (fork_ctx, "takai", 6)])
+def test_build_state_cap_trip_points(ctx_of, variant, n):
+    # the build fits a cap of exactly its state count; one less trips the
+    # guard at the state the breadth-first walk reaches last
+    assert len(build(ctx_of(max_states=n), variant).automaton.states) == n
+    with pytest.raises(ExplosionGuardError) as exc:
+        build(ctx_of(max_states=n - 1), variant)
+    assert str(exc.value) == ("supervisor state cap %d exceeded when reaching "
+                              "{(x3,z4)}" % (n - 1))
 
 
 def test_fork_build_has_two_initials():
