@@ -21,6 +21,7 @@ import json
 from .automata import (Alphabet, Automaton, split_top_level, validate_event_name,
                        validate_state_id, _TRANS_RE)
 from .errors import InputError, ParseError
+from .partial import TripleState
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -107,9 +108,20 @@ def format_automaton(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; InputError naming the file when
+    its bytes are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text (byte 0x%02x at offset %d)"
+                         % (path, data[exc.start], exc.start)) from None
+
+
 def load_automaton(path) -> Automaton:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+    return parse_automaton(read_text(path))
 
 
 def save_automaton(a: Automaton, path) -> None:
@@ -125,7 +137,6 @@ def automaton_digest(a: Automaton) -> str:
 def sidecar_payload(sup, plant: Automaton, spec: Automaton) -> dict:
     """JSON sidecar for a synthesized supervisor: construction tag, context
     digests, guard settings, and structured payloads for triple states."""
-    from .partial import TripleState  # local import, avoids a cycle
     body = {
         "construction_tag": sup.construction_tag,
         "context": {

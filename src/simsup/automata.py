@@ -182,10 +182,6 @@ class Automaton:
     def sorted_states(self) -> tuple[str, ...]:
         return tuple(sorted(self.states))
 
-    def enabled(self, state: str) -> tuple[str, ...]:
-        """Events with at least one transition out of state, sorted."""
-        return tuple(ev for ev in self.alphabet.events if (state, ev) in self.succ)
-
 
 def successors(a: Automaton, state: str, event: str) -> tuple[str, ...]:
     """All targets of state under event, sorted (empty tuple when none)."""
@@ -207,13 +203,9 @@ class ProductState(NamedTuple):
     left: str
     right: str
 
-    @property
-    def pid(self) -> str:
-        return "(%s,%s)" % (self.left, self.right)
-
 
 def product_id(left: str, right: str) -> str:
-    return ProductState(left, right).pid
+    return "(%s,%s)" % (left, right)
 
 
 def split_product_id(pid: str) -> ProductState:

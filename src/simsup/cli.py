@@ -17,8 +17,8 @@ import os
 import sys
 
 from . import __version__
-from .autfile import (format_automaton, load_automaton, save_automaton,
-                      write_sidecar)
+from .autfile import (format_automaton, load_automaton, read_text,
+                      save_automaton, write_sidecar)
 from .automata import compose
 from .dot import to_dot
 from .errors import (ExplosionGuardError, InputError, RejectionLimitError,
@@ -28,7 +28,7 @@ from .partial import build_partial
 from .randgen import random_pair, random_uc_pair
 from .simulation import check_simulation, simulates
 from .synthesis import (Guards, SupervisorAutomaton, SynthesisContext, build,
-                        loop_admissible, loop_in_sp, payloads_from_ids,
+                        disabled_move, is_admissible, payloads_from_ids,
                         prune_deadlocks, verdict_loop)
 
 ENV_MAX_STATES = "SIMSUP_MAX_STATES"
@@ -37,21 +37,20 @@ ENV_MAX_COVERS = "SIMSUP_MAX_COVERS"
 
 def _read_config_file(path: str) -> dict[str, str]:
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError("config %s line %d: expected key=value"
-                                 % (path, lineno))
-            key, value = line.split("=", 1)
-            name = key.strip().replace("-", "_")
-            if name not in ("max_states", "max_covers"):
-                raise InputError("config %s line %d: unknown key %r "
-                                 "(known: max_states, max_covers)"
-                                 % (path, lineno, key.strip()))
-            table[name] = value.strip().strip('"')
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError("config %s line %d: expected key=value"
+                             % (path, lineno))
+        key, value = line.split("=", 1)
+        name = key.strip().replace("-", "_")
+        if name not in ("max_states", "max_covers"):
+            raise InputError("config %s line %d: unknown key %r "
+                             "(known: max_states, max_covers)"
+                             % (path, lineno, key.strip()))
+        table[name] = value.strip().strip('"')
     return table
 
 
@@ -160,17 +159,18 @@ def cmd_verify(args) -> int:
     guards = resolve_guards(args)
     ok_all = True
 
-    # each verdict loop is composed once and serves every check below; only
-    # a witness needs the full loop
+    # each verdict loop is composed once and serves every check below; a
+    # witness needs the full loop, which is_admissible composes
     loop = verdict_loop(sup_auto, plant)
-    admissible, witness = loop_admissible(sup_auto, plant, loop)
+    admissible = disabled_move(loop, plant) is None
     print("admissible: %s" % ("yes" if admissible else "no"))
     if not admissible:
+        _, witness = is_admissible(sup_auto, plant)
         print("  witness: uncontrollable %r disabled at product state (%s,%s)"
               % (witness[1], witness[0].left, witness[0].right))
         ok_all = False
 
-    member = loop_in_sp(loop, plant, spec)
+    member = admissible and simulates(loop, spec, "full")
     print("in SP (admissible and loop below spec): %s" % ("yes" if member else "no"))
     ok_all = ok_all and member
 

@@ -19,8 +19,8 @@ from operator import itemgetter
 
 from .automata import Automaton, reachable
 from .errors import InputError
-from .synthesis import (SupervisorAutomaton, SynthesisContext, clause_a,
-                        clause_b, cover_family, initial_power_states,
+from .synthesis import (SupervisorAutomaton, SynthesisContext, _admits,
+                        _edges, clause_a, clause_b, initial_power_states,
                         minimal_covers, render_pairs)
 
 CLAUSE_ORDER = ("state", "istate", "6-a", "6-b", "sistate", "6-c")
@@ -129,13 +129,14 @@ def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                     and not auto.succ.get((sid, ev)):
                 failures.append(ClauseFailure("6-a", (sid, ev)))
 
-    # one cover family per (source, event): sorted edges come grouped by it
+    # W's obligation masks once per (source, event): sorted transitions come
+    # grouped by it
     for (src, ev), group in groupby(sorted(auto.transitions), key=itemgetter(0, 1)):
         if src not in live or not valid.get(src):
             continue
-        fam = cover_family(payloads[src], ev, ctx)
+        edges = _edges(payloads[src], ev, ctx)
         for (_, _, tgt) in group:
-            if not fam.admits(payloads[tgt]):
+            if not _admits(edges, payloads[tgt], ctx):
                 failures.append(ClauseFailure("6-b", (src, ev, tgt)))
 
     verdict = "not-gr" if failures else "gr-unsaturated"

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .automata import (Automaton, bisim_quotient, compose, is_deadlock,
                        split_product_id, split_top_level)
@@ -135,16 +136,6 @@ class CoverFamily:
     obligations: tuple[tuple[tuple[str, str, str], tuple[Pair, ...]], ...]
     candidate_pairs: tuple[Pair, ...]
 
-    @cached_property
-    def _pool(self) -> frozenset[Pair]:
-        return frozenset(self.candidate_pairs)
-
-    def admits(self, target: PowerState) -> bool:
-        """Membership of a pair set in the family, without enumeration:
-        drawn from the candidate pairs and answering every obligation."""
-        return target <= self._pool and all(
-            not target.isdisjoint(a) for (_, a) in self.obligations)
-
 
 def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
     """Positions of w's pairs in fixpoint_pairs, ascending (the _canon
@@ -162,6 +153,20 @@ def _edges(w: PowerState, event: str, ctx: SynthesisContext) -> list[int]:
     ascending order; every cover of (W, event) hits each of them."""
     table = ctx.answers(event)
     return [mask for i in _indices(w, ctx) for mask in table[i]]
+
+
+def _admits(edges: list[int], target, ctx: SynthesisContext) -> bool:
+    """Whether target is a cover of the (W, event) whose obligation masks are
+    edges: its pairs lie inside the fixpoint and inside the union of the
+    edges, and it hits every edge."""
+    index = ctx.pair_index
+    mask = 0
+    for p in target:
+        j = index.get(p)
+        if j is None:
+            return False
+        mask |= 1 << j
+    return not mask & ~reduce(or_, edges, 0) and all(e & mask for e in edges)
 
 
 def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamily:
@@ -206,10 +211,7 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
     consumer pulls more than the context's cover cap."""
     edges = _edges(w, event, ctx)
     cap = ctx.guards.max_covers
-    pool = 0
-    for e in edges:
-        pool |= e
-    bits = [1 << j for j in bit_positions(pool)]
+    bits = [1 << j for j in bit_positions(reduce(or_, edges, 0))]
     later = [0] * (len(bits) + 1)  # later[i]: the pool bits from i on
     for i in range(len(bits) - 1, -1, -1):
         later[i] = later[i + 1] | bits[i]
@@ -244,7 +246,7 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
 def in_n_set(w: PowerState, event: str, target: PowerState,
              ctx: SynthesisContext) -> bool:
     """Membership test for the cover family, without enumeration."""
-    return cover_family(w, event, ctx).admits(frozenset(target))
+    return _admits(_edges(w, event, ctx), target, ctx)
 
 
 def _minimal_transversals(edges: list[int]) -> list[int]:
@@ -313,10 +315,7 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
     for e in edges:
         choices *= e.bit_count()
         if choices > cap:
-            pool = 0
-            for mask in edges:
-                pool |= mask
-            raise _cover_guard(w, event, pool.bit_count(),
+            raise _cover_guard(w, event, reduce(or_, edges, 0).bit_count(),
                                "choice-function enumeration", cap)
     pairs = ctx.fixpoint_pairs
     members = sorted(bit_positions(t) for t in _minimal_transversals(edges))
@@ -470,36 +469,23 @@ def verdict_loop(s: Automaton, g: Automaton) -> Automaton:
     return closed_loop(bisim_quotient(s), g)
 
 
-def loop_admissible(s: Automaton, g: Automaton, quotient_loop: Automaton):
-    """is_admissible(s, g), given verdict_loop(s, g).
-
-    The verdict is read off that loop.  Only when it is no is the full loop
-    S||G composed, for the lexicographically least witness.
-    """
-    if disabled_move(quotient_loop, g) is None:
-        return True, None
-    return False, disabled_move(closed_loop(s, g), g)
-
-
 def is_admissible(s: Automaton, g: Automaton):
     """Whether the closed loop never disables an uncontrollable plant move.
 
     Returns (True, None) or (False, ((y,x), event)) with the lexicographically
-    least reachable violation.
+    least reachable violation.  The verdict is read off verdict_loop(s, g);
+    only a no composes the full loop S||G, for the witness.
     """
-    return loop_admissible(s, g, verdict_loop(s, g))
-
-
-def loop_in_sp(loop: Automaton, g: Automaton, r: Automaton) -> bool:
-    """in_sp over an already composed closed loop S||G, or over the loop of
-    a supervisor bisimilar to S: the verdict is the same."""
-    return disabled_move(loop, g) is None and simulates(loop, r, "full")
+    if disabled_move(verdict_loop(s, g), g) is None:
+        return True, None
+    return False, disabled_move(closed_loop(s, g), g)
 
 
 def in_sp(s: Automaton, g: Automaton, r: Automaton) -> bool:
     """Supervisor membership: admissible and the closed loop is simulated by
     the spec."""
-    return loop_in_sp(verdict_loop(s, g), g, r)
+    loop = verdict_loop(s, g)
+    return disabled_move(loop, g) is None and simulates(loop, r, "full")
 
 
 def more_permissive(s1: Automaton, s2: Automaton, g: Automaton) -> bool:

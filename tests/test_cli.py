@@ -72,6 +72,22 @@ def test_check_missing_file_exit_2(tmp_path):
     assert main(["check", str(tmp_path / "absent.aut"), str(ok)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "BAD", "G"],
+    ["synthesize", "G", "BAD", "--out", "OUT"],
+    ["verify", "BAD", "G", "G"],
+    ["synthesize", "G", "G", "--config", "BAD", "--out", "OUT"]],
+    ids=["plant", "spec", "supervisor", "config"])
+def test_non_utf8_file_exit_2(chain_files, capsys, argv):
+    g, _, tmp = chain_files
+    bad = tmp / "bad.aut"
+    bad.write_bytes(b"events: a:c\n\xff\n")
+    paths = {"BAD": str(bad), "G": g, "OUT": str(tmp / "x")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        "input error: %s is not UTF-8 text (byte 0xff at offset 12)\n" % bad)
+
+
 # --- synthesize --------------------------------------------------------------
 
 def test_synthesize_writes_aut_and_sidecar(chain_files, capsys):

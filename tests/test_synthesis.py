@@ -143,6 +143,8 @@ def test_n_sets_match_brute_force(seed):
     w_up = ctx.w_up
     if not w_up:
         return
+    outside = [(x, z) for x in plant.sorted_states for z in spec.sorted_states
+               if (x, z) not in w_up][:1]
     # a small sample of subsets of the fixpoint as source PowerStates
     sample = sorted(w_up)[:3]
     for k in (1, 2):
@@ -156,6 +158,17 @@ def test_n_sets_match_brute_force(seed):
                 assert mine == brute
                 assert set(minimal_covers(w, ev, ctx)) == set(
                     oracle_minimal(list(brute)))
+                # membership: every subset of the pool, alone and with one
+                # fixpoint pair outside the pool or one pair outside the
+                # fixpoint added
+                pool = cover_family(w, ev, ctx).candidate_pairs
+                extras = [p for p in sorted(w_up) if p not in pool][:1]
+                for n in range(len(pool) + 1):
+                    for combo in itertools.combinations(pool, n):
+                        t = frozenset(combo)
+                        for extra in [()] + [(p,) for p in extras + outside]:
+                            t1 = t | frozenset(extra)
+                            assert in_n_set(w, ev, t1, ctx) == (t1 in brute)
 
 
 def _covers_or_guard(fn, w, ev, ctx):
