@@ -20,7 +20,7 @@ from . import __version__
 from .autfile import (format_automaton, load_automaton, read_text,
                       save_automaton, write_sidecar)
 from .automata import compose
-from .dot import to_dot
+from .dot import check_label_width, to_dot
 from .errors import (ExplosionGuardError, InputError, RejectionLimitError,
                      SynthesisPreconditionError)
 from .grcheck import CLAUSE_ORDER, check_saturated
@@ -127,6 +127,8 @@ def cmd_check(args) -> int:
 def cmd_synthesize(args) -> int:
     if args.partial and args.variant is not None:
         raise InputError("--variant does not apply to the --partial construction")
+    if args.dot:
+        check_label_width(args.max_label_width)
     plant = load_automaton(args.plant)
     spec = load_automaton(args.spec)
     guards = resolve_guards(args)
@@ -157,30 +159,34 @@ def cmd_verify(args) -> int:
     plant = load_automaton(args.plant)
     spec = load_automaton(args.spec)
     guards = resolve_guards(args)
-    ok_all = True
 
     # each verdict loop is composed once and serves every check below; a
     # witness needs the full loop, which is_admissible composes
     loop = verdict_loop(sup_auto, plant)
     admissible = disabled_move(loop, plant) is None
-    print("admissible: %s" % ("yes" if admissible else "no"))
-    if not admissible:
-        _, witness = is_admissible(sup_auto, plant)
-        print("  witness: uncontrollable %r disabled at product state (%s,%s)"
-              % (witness[1], witness[0].left, witness[0].right))
-        ok_all = False
-
+    witness = None if admissible else is_admissible(sup_auto, plant)[1]
     member = admissible and simulates(loop, spec, "full")
-    print("in SP (admissible and loop below spec): %s" % ("yes" if member else "no"))
-    ok_all = ok_all and member
-
     ctx = SynthesisContext(plant, spec, guards)
     payloads = payloads_from_ids(sup_auto)
-    if payloads is None:
-        print("gr-check: skipped (state ids are not pair-set renderings)")
-    else:
+    report = None
+    if payloads is not None:
         user = SupervisorAutomaton(sup_auto, payloads, "user", guards)
         report = check_saturated(user, plant, spec, ctx)
+    takai_loop = verdict_loop(build(ctx, "takai").automaton, plant)
+    below = simulates(loop, takai_loop, "full")
+    above = simulates(takai_loop, loop, "full")
+
+    # every verdict is in hand before the first line, so an input error or a
+    # guard trip above leaves stdout empty
+    print("admissible: %s" % ("yes" if admissible else "no"))
+    if witness is not None:
+        print("  witness: uncontrollable %r disabled at product state (%s,%s)"
+              % (witness[1], witness[0].left, witness[0].right))
+    print("in SP (admissible and loop below spec): %s" % ("yes" if member else "no"))
+    ok_all = member
+    if report is None:
+        print("gr-check: skipped (state ids are not pair-set renderings)")
+    else:
         print("gr-check verdict: %s" % report.verdict)
         for clause in CLAUSE_ORDER:
             failures = report.failures_for(clause)
@@ -191,10 +197,6 @@ def cmd_verify(args) -> int:
         for note in report.warnings:
             print("  note: %s" % note)
         ok_all = ok_all and report.verdict == "saturated"
-
-    takai_loop = verdict_loop(build(ctx, "takai").automaton, plant)
-    below = simulates(loop, takai_loop, "full")
-    above = simulates(takai_loop, loop, "full")
     print("loop below takai loop: %s" % ("yes" if below else "no"))
     print("takai loop below this loop (maximality surrogate): %s"
           % ("yes" if above else "no"))

@@ -3,21 +3,30 @@
 from __future__ import annotations
 
 from .automata import Automaton
+from .errors import InputError
 
 
 def _quote(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def check_label_width(width: int) -> None:
+    """A label abbreviated to width characters keeps at least one of its own
+    before the "..."."""
+    if width < 4:
+        raise InputError("max_label_width must be at least 4, got %d" % width)
+
+
 def _label(state: str, width: int) -> str:
-    if width > 0 and len(state) > width:
-        return state[: max(width - 1, 1)] + "..."
+    if len(state) > width:
+        return state[:width - 3] + "..."
     return state
 
 
 def to_dot(a: Automaton, max_label_width: int = 40, name: str = "automaton") -> str:
-    """Deterministic DOT text: nodes in sorted state order, long state ids
-    (rendered pair sets) abbreviated at max_label_width."""
+    """Deterministic DOT text: nodes in sorted state order, state ids longer
+    than max_label_width (at least 4) abbreviated to exactly that width."""
+    check_label_width(max_label_width)
     index = {state: "n%d" % i for i, state in enumerate(a.sorted_states)}
     lines = ["digraph %s {" % _quote(name), "  rankdir=LR;"]
     for i, state in enumerate(sorted(a.initial)):

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .automata import Alphabet, Automaton, split_product_id
+from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
-from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _explore, _indices, _matchable,
-                        clause_a, closed_loop, disabled_move,
-                        initial_power_states, minimal_covers, render_pairs)
+                        SynthesisContext, _explore, _indices, clause_a,
+                        clause_b, disabled_move, initial_power_states,
+                        minimal_covers, render_pairs)
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,15 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             b = unmet & -unmet
             unmet ^= b
             stack.append((w | b, min(at, b.bit_length() - 1)))
+    if closed == [root]:
+        # a closed core is the only minimum, and is returned as itself: a
+        # build holds every triple's core and closure
+        return [w1]
     minima: list[int] = []
     for cand in sorted(closed, key=int.bit_count):
         if not any(m & cand == m for m in minima):
             minima.append(cand)
-    minima.sort(key=bit_positions)  # the sorted-pairs order
-    # a closure equal to the core shares the core's frozenset: a build holds
-    # every triple's core and closure, and a closure is often its core
-    pairs = ctx.fixpoint_pairs
-    return [w1 if m == root else frozenset(pairs[i] for i in bit_positions(m))
-            for m in minima]
+    return ctx.power_states(minima)
 
 
 def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:
@@ -141,13 +139,12 @@ def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
 
 
 def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
-    """Observable events enabled somewhere in w2 with every w2 obligation
-    answerable inside the fixpoint (clause_a and clause_b without the
-    uncontrollable escape)."""
+    """Observable events passing clause_a and clause_b at w2; w2 lies inside
+    the fixpoint, whose pairs answer every uncontrollable obligation there."""
     observable = ctx.plant.alphabet.observable
     return tuple(ev for ev in ctx.plant.alphabet.events
                  if ev in observable and clause_a(y.w2, ev, ctx)
-                 and _matchable(y.w2, ev, ctx))
+                 and clause_b(y.w2, ev, ctx))
 
 
 def _completions(w1: PowerState, gammas, ctx: SynthesisContext) -> list[TripleState]:
@@ -205,7 +202,7 @@ def is_admissible_partial(s: Automaton, g: Automaton):
     is_admissible counterexample or ((y,x), event, y1) for a state-changing
     unobservable edge.
     """
-    loop = closed_loop(s, g)
+    loop = compose(s, g)
     witness = disabled_move(loop, g)
     if witness is not None:
         return False, witness

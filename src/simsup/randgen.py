@@ -14,11 +14,19 @@ from .errors import InputError, RejectionLimitError
 from .simulation import simulates
 
 
+def _check_unit(name: str, value: float) -> None:
+    """A ratio or density is a probability: it must lie in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise InputError("%s must lie in [0, 1], got %r" % (name, value))
+
+
 def random_alphabet(rng: random.Random, n_events: int,
                     controllable_ratio: float = 0.5,
                     observable_ratio: float = 1.0) -> Alphabet:
     if n_events < 1:
         raise InputError("need at least one event")
+    _check_unit("controllable_ratio", controllable_ratio)
+    _check_unit("observable_ratio", observable_ratio)
     events = ["e%d" % i for i in range(n_events)]
     controllable = [ev for ev in events if rng.random() < controllable_ratio]
     observable = [ev for ev in events if rng.random() < observable_ratio]
@@ -30,6 +38,7 @@ def random_automaton(rng: random.Random, n_states: int, alphabet: Alphabet,
                      prefix: str = "s") -> Automaton:
     if n_states < 1 or n_initial < 1:
         raise InputError("sizes must be positive")
+    _check_unit("density", density)
     states = ["%s%d" % (prefix, i) for i in range(n_states)]
     transitions = set()
     for src in states:
@@ -48,6 +57,8 @@ def random_pair(seed: int, plant_states: int = 4, spec_states: int = 4,
                 observable_ratio: float = 1.0, n_initial: int = 1,
                 spec_initial: int | None = None) -> tuple[Automaton, Automaton]:
     """One seeded plant/spec pair over a shared alphabet."""
+    if spec_density is not None:
+        _check_unit("spec_density", spec_density)
     rng = random.Random(seed)
     alphabet = random_alphabet(rng, n_events, controllable_ratio, observable_ratio)
     plant = random_automaton(rng, plant_states, alphabet, density, n_initial, "x")
@@ -63,6 +74,8 @@ def random_uc_pair(seed: int, max_rejects: int = 500,
     """Rejection-sample seeded pairs until the plant is uc-similar to the
     spec.  Returns (plant, spec, attempts); sub-seeds derive from the seed, so
     the accepted pair is a pure function of the arguments."""
+    if max_rejects < 1:
+        raise InputError("max_rejects must be at least 1, got %d" % max_rejects)
     for attempt in range(max_rejects):
         plant, spec = random_pair(seed * 1_000_003 + attempt, **kwargs)
         if simulates(plant, spec, "uc"):

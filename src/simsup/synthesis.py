@@ -116,6 +116,13 @@ class SynthesisContext:
                     for x1 in gsucc.get((x, event), ())))  # distinct bits
         return table
 
+    def power_states(self, masks) -> list[PowerState]:
+        """The PowerStates of pair masks, in canonical order: masks sort by
+        their bit positions as PowerStates sort by their sorted pairs."""
+        pairs = self.fixpoint_pairs
+        return [frozenset(pairs[i] for i in bits)
+                for bits in sorted(map(bit_positions, masks))]
+
     @cached_property
     def uncontrollable(self) -> frozenset[str]:
         return self.plant.alphabet.uncontrollable
@@ -188,14 +195,10 @@ def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     return any(ctx.plant.succ.get((x, event)) for (x, _) in w)
 
 
-def _matchable(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
-    return all(_edges(w, event, ctx))
-
-
 def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     """Uncontrollable events pass outright; controllable ones need every
     enabled occurrence answered inside the fixpoint."""
-    return event in ctx.uncontrollable or _matchable(w, event, ctx)
+    return event in ctx.uncontrollable or all(_edges(w, event, ctx))
 
 
 def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
@@ -306,8 +309,6 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
     enumerated.
     """
     edges = _edges(w, event, ctx)
-    if not edges:
-        return [frozenset()]
     if not all(edges):
         return []
     cap = ctx.guards.max_covers
@@ -317,9 +318,7 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
         if choices > cap:
             raise _cover_guard(w, event, reduce(or_, edges, 0).bit_count(),
                                "choice-function enumeration", cap)
-    pairs = ctx.fixpoint_pairs
-    members = sorted(bit_positions(t) for t in _minimal_transversals(edges))
-    return [frozenset(pairs[i] for i in m) for m in members]
+    return ctx.power_states(_minimal_transversals(edges))
 
 
 def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
@@ -345,8 +344,9 @@ def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
     if count > cap:
         raise ExplosionGuardError(
             "initial choice-function cap %d exceeded (%d combinations)" % (cap, count))
-    out = [frozenset(zip(x0s, combo)) for combo in itertools.product(*options)]
-    return sorted(out, key=_canon)
+    # the product of the sorted partner lists is already canonical: every
+    # PowerState lists its pairs by the same sorted initial plant states
+    return [frozenset(zip(x0s, combo)) for combo in itertools.product(*options)]
 
 
 @dataclass
@@ -437,13 +437,6 @@ def prune_deadlocks(sup: SupervisorAutomaton) -> SupervisorAutomaton:
                                sup.guards, sup.notes)
 
 
-def closed_loop(s: Automaton, g: Automaton) -> Automaton:
-    """The closed loop S||G of a supervisor and its plant."""
-    if s.alphabet != g.alphabet:
-        raise InputError("supervisor and plant must share one alphabet")
-    return compose(s, g)
-
-
 def disabled_move(loop: Automaton, g: Automaton):
     """The lexicographically least ((y,x), event) of a closed loop at which
     the plant can take an uncontrollable event and the loop cannot, or None."""
@@ -466,7 +459,7 @@ def verdict_loop(s: Automaton, g: Automaton) -> Automaton:
     taken on it are those of the full loop S||G.  Witnesses and relations
     come from the full loop.
     """
-    return closed_loop(bisim_quotient(s), g)
+    return compose(bisim_quotient(s), g)
 
 
 def is_admissible(s: Automaton, g: Automaton):
@@ -478,7 +471,7 @@ def is_admissible(s: Automaton, g: Automaton):
     """
     if disabled_move(verdict_loop(s, g), g) is None:
         return True, None
-    return False, disabled_move(closed_loop(s, g), g)
+    return False, disabled_move(compose(s, g), g)
 
 
 def in_sp(s: Automaton, g: Automaton, r: Automaton) -> bool:

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, outputs, guard resolution."""
 
 import json
+import re
 
 import pytest
 
 from simsup import (Alphabet, Automaton, check_simulation, cli, compose,
                     format_automaton, is_admissible, is_simulation_relation,
-                    load_automaton)
+                    load_automaton, to_dot)
 from simsup.cli import main, resolve_guards, build_parser
 from simsup.synthesis import disabled_move
 
@@ -200,8 +201,11 @@ def _pool_files(tmp_path, draw):
 
 
 def test_verify_pool_draw_2_completes(tmp_path, capsys):
-    # its closed loop has 2382 states; verify compares it with the takai
-    # loop both ways, 5.7 M candidate pairs per direction
+    # the pool's one blow-up: the full closed loop of its 500-state takai
+    # supervisor has 2382 states, but the supervisor is bisimilar to one
+    # state, so verify reads every verdict off a small quotient loop; this
+    # guards that the call finishes and still finds the two loops mutually
+    # below each other
     g, r, out = _pool_files(tmp_path, 2)
     assert main(["synthesize", g, r, "--out", out]) == 0
     assert main(["verify", out + ".aut", g, r]) == 0
@@ -252,6 +256,46 @@ def test_verify_witness_comes_from_the_full_loop(tmp_path, capsys):
     assert lines[:2] == [
         "admissible: no",
         "  witness: uncontrollable 'u' disabled at product state (y2,x2)"]
+
+
+def test_verify_input_error_before_any_verdict(chain_files, capsys):
+    # the ids parse as pair sets, but name a plant state that does not exist
+    g, r, tmp = chain_files
+    s = tmp / "alien.aut"
+    s.write_text("events: sigma:uc:o, c:c:o\ninitial: {(q9,z0)}\n")
+    assert main(["verify", str(s), g, r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: payload pair (q9,z0) of state '{(q9,z0)}' lies outside "
+        "the plant and spec state sets\n")
+
+
+@pytest.mark.parametrize("cap,message", [
+    # check_saturated meets two minimal covers at ({(x1,z1)}, sigma)
+    (["--max-covers", "1"], "choice-function enumeration cap 1 exceeded"),
+    # the fresh takai build has five states
+    (["--max-states", "2"], "supervisor state cap 2 exceeded"),
+])
+def test_verify_guard_trip_before_any_verdict(chain_files, capsys, cap, message):
+    g, r, tmp = chain_files
+    out = str(tmp / "sup")
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out + ".aut", g, r, *cap]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard tripped: " + message)
+
+
+def test_verify_alphabet_mismatch(chain_files, capsys):
+    g, r, tmp = chain_files
+    s = tmp / "other.aut"
+    s.write_text("events: a:c:o\ninitial: y0\n")
+    assert main(["verify", str(s), g, r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: composition requires identical alphabets\n"
 
 
 # --- exit codes for exhausted resources --------------------------------------
@@ -312,6 +356,24 @@ def test_random_rejection_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--density", "-1"], "density must lie in [0, 1], got -1.0"),
+    (["--controllable-ratio", "2"], "controllable_ratio must lie in [0, 1], got 2.0"),
+    (["--observable-ratio", "-1"], "observable_ratio must lie in [0, 1], got -1.0"),
+    (["--spec-density", "3"], "spec_density must lie in [0, 1], got 3.0"),
+    (["--require-uc-sim", "--max-rejects", "0"], "max_rejects must be at least 1, got 0"),
+    (["--require-uc-sim", "--max-rejects", "-4"], "max_rejects must be at least 1, got -4"),
+], ids=["density", "controllable", "observable", "spec-density",
+        "max-rejects-0", "max-rejects-negative"])
+def test_random_rejects_out_of_range_options(tmp_path, capsys, argv, message):
+    rc = main(["random", "--seed", "1", *argv, "--out", str(tmp_path / "r")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: %s\n" % message
+    assert not list(tmp_path.iterdir())
+
+
 def test_export_dot(chain_files, capsys):
     g, _, _ = chain_files
     assert main(["export-dot", g]) == 0
@@ -369,3 +431,34 @@ def test_guard_rejects_nonpositive(tmp_path, chain_files):
     rc = main(["synthesize", g, r, "--max-states", "0",
                "--out", str(tmp / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("width", ["3", "1", "0", "-5"])
+def test_label_width_below_4_is_an_input_error(chain_files, capsys, width):
+    g, r, tmp = chain_files
+    message = "input error: max_label_width must be at least 4, got %s\n" % width
+    assert main(["export-dot", g, "--max-label-width", width]) == 2
+    assert capsys.readouterr() == ("", message)
+    # synthesize --dot checks the width before it builds or writes anything
+    rc = main(["synthesize", g, r, "--dot", "--max-label-width", width,
+               "--out", str(tmp / "d")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", message)
+    assert not list(tmp.glob("d.*"))
+
+
+def test_dot_labels_are_abbreviated_to_the_width(chain_files, capsys):
+    g, r, tmp = chain_files
+    out = str(tmp / "sup")
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    sup = load_automaton(out + ".aut")
+    for width in (4, 5, 9, 17, 40):
+        labels = re.findall(r'  n\d+ \[label="([^"]*)"',
+                            to_dot(sup, max_label_width=width))
+        assert len(labels) == len(sup.states)
+        for state, label in zip(sup.sorted_states, labels):
+            if len(state) > width:
+                assert label == state[:width - 3] + "..."
+                assert len(label) == width
+            else:
+                assert label == state

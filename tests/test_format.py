@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsup import (Guards, ParseError, autfile, automaton_digest,
-                    format_automaton, parse_automaton, sidecar_payload)
+from simsup import (Guards, InputError, ParseError, autfile, automaton_digest,
+                    format_automaton, parse_automaton, parse_pairs,
+                    render_pairs, sidecar_payload)
 from simsup.partial import build_partial
 from simsup.randgen import random_pair
 from simsup.synthesis import SynthesisContext, build
@@ -96,6 +97,62 @@ def test_each_state_id_is_validated_once(monkeypatch):
     monkeypatch.setattr(autfile, "validate_state_id", counting)
     parse_automaton(GOOD + "states: x0, x1\ntrans: x0 -c-> x1\n")
     assert sorted(seen) == ["x0", "x1"]
+
+
+# --- fuzzing: every text is rejected or round-trips ---------------------------
+
+# well-formed texts with up to three edits, each replacing up to three
+# characters by a structural piece, so that most examples get past line one
+_PIECES = ["events:", "states:", "initial:", "trans:", "->", "-", ":c", ":uc",
+           ":o", ":uo", "(", ")", "{", "}", "<", ">", ",", ";", "|", ":", "#",
+           '"', "'", "\t", " ", "\n", "x0", "z1", "e0", ""]
+_IDS = st.sampled_from(["x0", "x1", "z0", "{(x0,z0)}", "{(x0,z0),(x1,z1)}",
+                        "<{(x0,z0)}|{e0}|{}>", "(x0,z0)", "{}", "<a|b>"])
+_EVENTS = st.sampled_from(["e0", "e1", "a"])
+_DECL = st.tuples(_EVENTS, st.sampled_from([":c", ":uc"]),
+                  st.sampled_from(["", ":o", ":uo"])).map("".join)
+_LINE = st.one_of(
+    st.lists(_IDS, min_size=1, max_size=3).map(lambda ids: "states: " + ", ".join(ids)),
+    st.lists(_IDS, min_size=1, max_size=3).map(lambda ids: "initial: " + ", ".join(ids)),
+    st.tuples(_IDS, _EVENTS, _IDS).map(lambda t: "trans: %s -%s-> %s" % t))
+_AUT_TEXT = st.tuples(
+    st.lists(_DECL, min_size=1, max_size=3, unique_by=lambda d: d.split(":")[0]),
+    st.lists(_IDS, min_size=1, max_size=2), st.lists(_LINE, max_size=5)).map(
+    lambda t: "\n".join(["events: " + ", ".join(t[0]),
+                         "initial: " + ", ".join(t[1])] + t[2]) + "\n")
+_PAIRS_TEXT = st.lists(st.tuples(_IDS, _IDS).map("(%s,%s)".__mod__),
+                       max_size=3).map(lambda ps: "{%s}" % ",".join(ps))
+_EDITS = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 3),
+                            st.sampled_from(_PIECES)), max_size=3)
+
+
+def _edited(text, edits):
+    for at, cut, piece in edits:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(_edited, _AUT_TEXT, _EDITS))
+def test_parse_automaton_rejects_or_round_trips(text):
+    try:
+        a = parse_automaton(text)
+    except InputError:  # ParseError is one
+        return
+    out = format_automaton(a)
+    assert parse_automaton(out) == a
+    assert format_automaton(parse_automaton(out)) == out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(_edited, _PAIRS_TEXT, _EDITS), _IDS))
+def test_parse_pairs_rejects_or_round_trips(text):
+    try:
+        pairs = parse_pairs(text)
+    except InputError:
+        return
+    assert parse_pairs(render_pairs(pairs)) == pairs
 
 
 def test_digest_is_representation_independent():

@@ -1,9 +1,12 @@
 """Clause checker: gr clauses, saturation clauses, witnesses, verdicts."""
 
+import random
+
 import pytest
 
-from simsup import InputError
-from simsup.automata import Automaton
+from simsup import (ExplosionGuardError, InputError, compose, in_sp,
+                    more_permissive)
+from simsup.automata import Automaton, reachable
 from simsup.grcheck import CLAUSE_ORDER, check_gr, check_saturated
 from simsup.synthesis import (Guards, SupervisorAutomaton, SynthesisContext,
                               build, in_n_set, supervisor_from_pair_sets)
@@ -11,6 +14,7 @@ from simsup.synthesis import (Guards, SupervisorAutomaton, SynthesisContext,
 from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, W0, W1, W2, W3, W5, chain_sup_a,
                        chain_sup_b, chain_sup_c, fork_sup_a1)
+from .oracles import oracle_in_sp, oracle_loop_below
 from .pool import uc_instance
 
 
@@ -189,3 +193,73 @@ def test_report_json_and_clause_order():
     assert body["clause_failures"][0]["clause"] in CLAUSE_ORDER
     # frozenset witnesses render as pair-set strings
     assert body["clause_failures"][0]["witness"][2] == "{(x2,z3)}"
+
+
+# --- the metatheorem on (G,R)-automata that no construction built ----------
+
+def _keep_reachable(sup, transitions):
+    """sup with only the given transitions, cut to its reachable part; the
+    kept states keep their payloads."""
+    a = sup.automaton
+    live = frozenset(reachable(Automaton(a.states, a.alphabet,
+                                         frozenset(transitions), a.initial)))
+    auto = Automaton(live, a.alphabet,
+                     frozenset(t for t in transitions if t[0] in live), a.initial)
+    return SupervisorAutomaton(auto, {s: sup.payloads[s] for s in live},
+                               "user", sup.guards)
+
+
+def _mutually_permissive(s, t, plant):
+    if max(len(compose(s, plant).states), len(compose(t, plant).states)) <= 40:
+        return oracle_loop_below(s, t, plant) and oracle_loop_below(t, s, plant)
+    return more_permissive(s, t, plant) and more_permissive(t, s, plant)
+
+
+def test_saturated_automata_are_maximally_permissive():
+    # every pool draw whose variant1 build fits in 200 states: drop random
+    # nonempty subsets of the variant1 edges that takai lacks (dropping takai
+    # edges gives no saturated candidate); every candidate found saturated is
+    # in SP and exactly as permissive as takai, as the paper's metatheorem says
+    verdicts = {}
+    for seed in range(500):
+        plant, spec, _ = uc_instance(seed)
+        ctx = SynthesisContext(plant, spec, Guards(max_states=200))
+        try:
+            v1 = build(ctx, "variant1")
+        except ExplosionGuardError:
+            continue
+        takai = build(ctx, "takai").automaton
+        extra = sorted(v1.automaton.transitions - takai.transitions)
+        rng = random.Random(seed)
+        for _ in range(3 if extra else 0):
+            drop = set(rng.sample(extra, rng.randint(1, len(extra))))
+            cand = _keep_reachable(v1, v1.automaton.transitions - drop)
+            verdict = check_saturated(cand, plant, spec, ctx).verdict
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+            if verdict == "saturated":
+                assert in_sp(cand.automaton, plant, spec), seed
+                assert _mutually_permissive(cand.automaton, takai, plant), seed
+    assert set(verdicts) == {"saturated", "gr-unsaturated", "not-gr"}
+    assert verdicts["saturated"] >= 100
+
+
+def test_unsaturated_automaton_below_takai():
+    # saturation is sufficient for maximal permissiveness, not necessary:
+    # pool draw 462's takai build without one edge is a (G,R)-automaton in SP,
+    # unsaturated, and strictly less permissive than takai
+    plant, spec, _ = uc_instance(462)
+    ctx = SynthesisContext(plant, spec, Guards())
+    takai = build(ctx, "takai")
+    assert (len(takai.automaton.states), len(takai.automaton.transitions)) == (12, 16)
+    edge = ("{(x2,z0),(x3,z0)}", "e0", "{(x1,z0),(x2,z0),(x3,z0)}")
+    sup = _keep_reachable(takai, takai.automaton.transitions - {edge})
+    assert len(sup.automaton.states) == 11
+    report = check_saturated(sup, plant, spec, ctx)
+    assert report.to_json()["verdict"] == "gr-unsaturated"
+    assert [f.to_json() for f in report.clause_failures] == [
+        {"clause": "6-c", "witness": list(edge)}]
+    s, t = sup.automaton, takai.automaton
+    assert in_sp(s, plant, spec) and oracle_in_sp(s, plant, spec)
+    assert more_permissive(s, t, plant) and oracle_loop_below(s, t, plant)
+    assert not more_permissive(t, s, plant)
+    assert not oracle_loop_below(t, s, plant)

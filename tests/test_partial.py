@@ -13,11 +13,11 @@ from simsup.partial import (TripleState, build_partial, gamma_candidates,
                             is_admissible_partial, minimal_u, sigma_y,
                             validate_triple)
 from simsup.randgen import random_pair, random_uc_pair
-from simsup.synthesis import (Guards, SynthesisContext, build, in_sp,
-                              initial_power_states, render_pairs)
+from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
+                              in_sp, initial_power_states, render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
-from .oracles import oracle_minimal_u_by_branching
+from .oracles import oracle_matchable, oracle_minimal_u_by_branching
 from .pool import uc_instance
 
 # chain fixture with sigma unobservable
@@ -59,7 +59,8 @@ def test_gamma_candidates_free_controllable():
 
 def test_minimal_u_identity_under_empty_mask():
     ctx = SynthesisContext(CHAIN_PLANT, CHAIN_SPEC, Guards())
-    assert minimal_u(W0, frozenset(), ctx) == [W0]
+    (closure,) = minimal_u(W0, frozenset(), ctx)
+    assert closure is W0  # a closed core is returned as itself
 
 
 def test_minimal_u_chain_closures():
@@ -208,6 +209,23 @@ def test_sigma_y_excludes_unmatchable_controllables():
         W0, frozenset({"sigma"}),
         frozenset({("x0", "z0"), ("x1", "z1"), ("x2", "z3")}))
     assert sigma_y(y_c3, ctx) == ("c",)
+
+
+@pytest.mark.parametrize("seed,nx,nz", [(7, 7, 6), (29, 8, 8), (31, 8, 6)])
+def test_sigma_y_is_the_matching_test_on_built_triples(seed, nx, nz):
+    # every w2 a build makes lies inside the fixpoint, where clause_b's
+    # uncontrollable escape never decides: sigma_y offers exactly the
+    # observable events that clause_a and the string matching oracle pass
+    plant, spec = partial_draw(seed, nx, nz)
+    ctx = SynthesisContext(plant, spec, Guards())
+    alphabet = plant.alphabet
+    triples = build_partial(plant, spec, Guards()).payloads.values()
+    for y in triples:
+        assert sigma_y(y, ctx) == tuple(
+            ev for ev in alphabet.events
+            if ev in alphabet.observable and clause_a(y.w2, ev, ctx)
+            and oracle_matchable(y.w2, ev, plant, spec, ctx.w_up))
+    assert any(sigma_y(y, ctx) for y in triples)
 
 
 # --- construction ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from simsup import RejectionLimitError, check_simulation
+from simsup import InputError, RejectionLimitError, check_simulation
 from simsup.randgen import (random_alphabet, random_automaton, random_pair,
                             random_uc_pair)
 
@@ -64,3 +64,26 @@ def test_uc_pair_rejection_limit():
         random_uc_pair(1, plant_states=3, spec_states=3, n_events=2,
                        density=1.0, spec_density=0.0, controllable_ratio=0.0,
                        max_rejects=20)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(density=-1), "density"),
+    (dict(density=1.5), "density"),
+    (dict(density=float("nan")), "density"),
+    (dict(spec_density=3), "spec_density"),
+    (dict(controllable_ratio=2), "controllable_ratio"),
+    (dict(observable_ratio=-1), "observable_ratio"),
+])
+def test_ratios_and_densities_outside_the_unit_interval(kwargs, name):
+    # each is a probability; 0 and 1 stay valid (test_alphabet_ratios,
+    # test_density_extremes)
+    with pytest.raises(InputError, match=r"^%s must lie in \[0, 1\], got "
+                       % name):
+        random_pair(1, **kwargs)
+
+
+@pytest.mark.parametrize("max_rejects", [0, -4])
+def test_max_rejects_must_be_positive(max_rejects):
+    with pytest.raises(InputError, match="^max_rejects must be at least 1, "
+                       "got %d$" % max_rejects):
+        random_uc_pair(1, max_rejects=max_rejects)

@@ -25,7 +25,8 @@ from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
 from .oracles import (oracle_admissibility_witness, oracle_admissible,
                       oracle_greatest_simulation,
-                      oracle_cover_family, oracle_in_sp, oracle_loop_below,
+                      oracle_cover_family, oracle_in_sp,
+                      oracle_initial_power_states, oracle_loop_below,
                       oracle_matchable, oracle_minimal,
                       oracle_minimal_covers_by_choice, oracle_n_set,
                       oracle_variant2_targets)
@@ -290,6 +291,36 @@ def test_initial_power_states_chain():
 def test_initial_power_states_fork():
     got = initial_power_states(fork_ctx())
     assert got == [frozenset({("x0", "z01")}), frozenset({("x0", "z02")})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+def test_initial_power_states_come_in_canonical_order(seed, n_initial, spec_initial):
+    # the product of the sorted partner lists is the order, with no sort
+    plant, spec, _ = random_uc_pair(seed, plant_states=4, spec_states=4,
+                                    n_events=2, density=0.3,
+                                    n_initial=n_initial,
+                                    spec_initial=spec_initial)
+    ctx = SynthesisContext(plant, spec, Guards())
+    got = initial_power_states(ctx)
+    assert got == sorted(got, key=lambda w: tuple(sorted(w)))
+    assert len(set(got)) == len(got)
+    assert set(got) == oracle_initial_power_states(plant, spec, ctx.w_up)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_states_in_canonical_order(data):
+    plant, spec, _ = uc_instance(data.draw(st.integers(0, 499)))
+    ctx = SynthesisContext(plant, spec, Guards())
+    pairs = ctx.fixpoint_pairs
+    masks = data.draw(st.lists(st.integers(0, (1 << len(pairs)) - 1),
+                               unique=True, max_size=12))
+    expected = [frozenset(p for i, p in enumerate(pairs) if m >> i & 1)
+                for m in masks]
+    assert ctx.power_states(masks) == sorted(
+        expected, key=lambda w: tuple(sorted(w)))
 
 
 def test_initial_power_states_precondition():
