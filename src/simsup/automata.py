@@ -55,8 +55,6 @@ def validate_event_name(name: str) -> str:
     for ch in name:
         if ch in bad:
             raise InputError("illegal character %r in event name %r" % (ch, name))
-    if "->" in name:
-        raise InputError("event name %r may not contain '->'" % name)
     return name
 
 
@@ -114,11 +112,11 @@ class Alphabet:
             observable = events
         return Alphabet(events, frozenset(controllable), frozenset(observable))
 
-    @property
+    @cached_property
     def uncontrollable(self) -> frozenset[str]:
         return frozenset(self.events) - self.controllable
 
-    @property
+    @cached_property
     def unobservable(self) -> frozenset[str]:
         return frozenset(self.events) - self.observable
 

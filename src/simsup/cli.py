@@ -25,7 +25,7 @@ from .errors import (ExplosionGuardError, InputError, RejectionLimitError,
                      SynthesisPreconditionError)
 from .grcheck import CLAUSE_ORDER, check_saturated
 from .partial import build_partial
-from .randgen import random_pair, random_uc_pair
+from .randgen import check_max_rejects, random_pair, random_uc_pair
 from .simulation import check_simulation, simulates
 from .synthesis import (Guards, SupervisorAutomaton, SynthesisContext, build,
                         disabled_move, is_admissible, payloads_from_ids,
@@ -127,8 +127,7 @@ def cmd_check(args) -> int:
 def cmd_synthesize(args) -> int:
     if args.partial and args.variant is not None:
         raise InputError("--variant does not apply to the --partial construction")
-    if args.dot:
-        check_label_width(args.max_label_width)
+    check_label_width(args.max_label_width)
     plant = load_automaton(args.plant)
     spec = load_automaton(args.spec)
     guards = resolve_guards(args)
@@ -220,6 +219,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_random(args) -> int:
+    check_max_rejects(args.max_rejects)
     kwargs = dict(plant_states=args.states, spec_states=args.spec_states,
                   n_events=args.events,
                   controllable_ratio=args.controllable_ratio,

@@ -14,8 +14,6 @@ lexicographically least witness per offence, in fixed clause order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 from .automata import Automaton, reachable
 from .errors import InputError
@@ -84,10 +82,11 @@ def _payloads(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton) -> di
     return sup.payloads
 
 
-def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
-             ctx: SynthesisContext | None = None) -> GrReport:
-    """Check the supervisor-automaton clauses; verdict 'not-gr' on any
-    failure, else 'gr-unsaturated' (the strongest claim this check makes)."""
+def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
+        ctx: SynthesisContext | None):
+    """The gr clauses, with what they derive: (ctx, payloads, live states,
+    report).  One walk over the live (state, event) pairs judges 6-a where
+    the state has no edge under the event and 6-b where it has some."""
     ctx = _context_for(sup, plant, spec, ctx)
     payloads = _payloads(sup, plant, spec)
     auto = sup.automaton
@@ -120,45 +119,45 @@ def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                 failures.append(ClauseFailure("istate", (sid, ("uncovered", x0))))
                 break
 
+    missing, stray = [], []  # 6-a and 6-b failures
     for sid in sorted(live):
         if not valid[sid]:
             continue
         w = payloads[sid]
         for ev in auto.alphabet.events:
-            if clause_a(w, ev, ctx) and clause_b(w, ev, ctx) \
-                    and not auto.succ.get((sid, ev)):
-                failures.append(ClauseFailure("6-a", (sid, ev)))
-
-    # W's obligation masks once per (source, event): sorted transitions come
-    # grouped by it
-    for (src, ev), group in groupby(sorted(auto.transitions), key=itemgetter(0, 1)):
-        if src not in live or not valid.get(src):
-            continue
-        edges = _edges(payloads[src], ev, ctx)
-        for (_, _, tgt) in group:
-            if not _admits(edges, payloads[tgt], ctx):
-                failures.append(ClauseFailure("6-b", (src, ev, tgt)))
+            targets = auto.succ.get((sid, ev))
+            if targets:
+                edges = _edges(w, ev, ctx)
+                stray += [ClauseFailure("6-b", (sid, ev, tgt)) for tgt in targets
+                          if not _admits(edges, payloads[tgt], ctx)]
+            elif clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
+                missing.append(ClauseFailure("6-a", (sid, ev)))
+    failures += missing + stray
 
     verdict = "not-gr" if failures else "gr-unsaturated"
-    return GrReport(verdict, failures, warnings)
+    return ctx, payloads, live, GrReport(verdict, failures, warnings)
+
+
+def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
+             ctx: SynthesisContext | None = None) -> GrReport:
+    """Check the supervisor-automaton clauses; verdict 'not-gr' on any
+    failure, else 'gr-unsaturated' (the strongest claim this check makes)."""
+    return _gr(sup, plant, spec, ctx)[3]
 
 
 def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                     ctx: SynthesisContext | None = None) -> GrReport:
     """check_gr plus the saturation clauses.  Verdict 'saturated' iff nothing
     fails; gr failures short-circuit the saturation clauses."""
-    ctx = _context_for(sup, plant, spec, ctx)
-    report = check_gr(sup, plant, spec, ctx)
+    ctx, payloads, live, report = _gr(sup, plant, spec, ctx)
     if not report.ok:
         return report
-    payloads = sup.payloads
     auto = sup.automaton
-    live = reachable(auto)
     failures: list[ClauseFailure] = []
 
-    initial_payloads = {frozenset(payloads[sid]) for sid in auto.initial}
-    # check_gr has passed, so every initial plant state has a partner and
-    # the enumeration cannot raise the precondition error
+    initial_payloads = {payloads[sid] for sid in auto.initial}
+    # the gr clauses have passed, so every initial plant state has a partner
+    # and the enumeration cannot raise the precondition error
     for fn in initial_power_states(ctx):
         if fn not in initial_payloads:
             failures.append(ClauseFailure("sistate", (fn,)))
@@ -176,4 +175,3 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
 
     verdict = "saturated" if not failures else "gr-unsaturated"
     return GrReport(verdict, report.clause_failures + failures, report.warnings)
-

@@ -17,9 +17,9 @@ from operator import attrgetter
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _explore, _indices, clause_a,
-                        clause_b, disabled_move, initial_power_states,
-                        minimal_covers, render_pairs)
+                        SynthesisContext, _explore, _indices, _minimal_masks,
+                        clause_a, clause_b, disabled_move,
+                        initial_power_states, minimal_covers, render_pairs)
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,7 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
         # a closed core is the only minimum, and is returned as itself: a
         # build holds every triple's core and closure
         return [w1]
-    minima: list[int] = []
-    for cand in sorted(closed, key=int.bit_count):
-        if not any(m & cand == m for m in minima):
-            minima.append(cand)
-    return ctx.power_states(minima)
+    return ctx.power_states(_minimal_masks(closed))
 
 
 def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:
@@ -126,8 +122,7 @@ def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
     bad = []
     if not y.w1:
         bad.append("w1-empty")
-    if not (alphabet.unobservable & alphabet.uncontrollable) <= y.gamma_uo \
-            or not y.gamma_uo <= alphabet.unobservable:
+    if y.gamma_uo not in gamma_candidates(alphabet):
         bad.append("gamma-not-admissible")
     if not y.w1 <= ctx.w_up or not y.w2 <= ctx.w_up:
         bad.append("outside-fixpoint")

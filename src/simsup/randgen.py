@@ -20,6 +20,12 @@ def _check_unit(name: str, value: float) -> None:
         raise InputError("%s must lie in [0, 1], got %r" % (name, value))
 
 
+def check_max_rejects(max_rejects: int) -> None:
+    """Rejection sampling draws at least one pair."""
+    if max_rejects < 1:
+        raise InputError("max_rejects must be at least 1, got %d" % max_rejects)
+
+
 def random_alphabet(rng: random.Random, n_events: int,
                     controllable_ratio: float = 0.5,
                     observable_ratio: float = 1.0) -> Alphabet:
@@ -74,8 +80,7 @@ def random_uc_pair(seed: int, max_rejects: int = 500,
     """Rejection-sample seeded pairs until the plant is uc-similar to the
     spec.  Returns (plant, spec, attempts); sub-seeds derive from the seed, so
     the accepted pair is a pure function of the arguments."""
-    if max_rejects < 1:
-        raise InputError("max_rejects must be at least 1, got %d" % max_rejects)
+    check_max_rejects(max_rejects)
     for attempt in range(max_rejects):
         plant, spec = random_pair(seed * 1_000_003 + attempt, **kwargs)
         if simulates(plant, spec, "uc"):

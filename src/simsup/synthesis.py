@@ -123,10 +123,6 @@ class SynthesisContext:
         return [frozenset(pairs[i] for i in bits)
                 for bits in sorted(map(bit_positions, masks))]
 
-    @cached_property
-    def uncontrollable(self) -> frozenset[str]:
-        return self.plant.alphabet.uncontrollable
-
 
 @dataclass(frozen=True)
 class CoverFamily:
@@ -198,7 +194,8 @@ def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
 def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     """Uncontrollable events pass outright; controllable ones need every
     enabled occurrence answered inside the fixpoint."""
-    return event in ctx.uncontrollable or all(_edges(w, event, ctx))
+    return event in ctx.plant.alphabet.uncontrollable \
+        or all(_edges(w, event, ctx))
 
 
 def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
@@ -252,6 +249,16 @@ def in_n_set(w: PowerState, event: str, target: PowerState,
     return _admits(_edges(w, event, ctx), target, ctx)
 
 
+def _minimal_masks(masks) -> list[int]:
+    """The inclusion-minimal members of a family of bitmasks, fewest bits
+    first: a mask is kept unless a kept one lies inside it."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def _minimal_transversals(edges: list[int]) -> list[int]:
     """Minimal transversals (hitting sets) of a family of bitmask edges.
 
@@ -265,11 +272,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     for e in edges:
         if not e & (e - 1):
             forced |= e
-    live = sorted({e for e in edges if not e & forced}, key=int.bit_count)
-    family: list[int] = []
-    for e in live:
-        if not any(f & e == f for f in family):
-            family.append(e)
+    family = _minimal_masks({e for e in edges if not e & forced})
     out = []
     cand_all = 0
     for e in family:
@@ -491,17 +494,13 @@ def supervisor_from_pair_sets(alphabet, initial_sets, edges, tag: str = "user",
     """Assemble a SupervisorAutomaton from explicit pair-set states and
     (source pair-set, event, target pair-set) edges; used for hand-built
     automata and parsed user supervisors."""
-    payloads: dict[str, PowerState] = {}
-
-    def intern(ps):
-        ps = frozenset(ps)
-        pid = render_pairs(ps)
-        payloads[pid] = ps
-        return pid
-
-    init = frozenset(intern(ps) for ps in initial_sets)
-    trans = frozenset((intern(a), ev, intern(b)) for (a, ev, b) in edges)
-    auto = Automaton(frozenset(payloads), alphabet, trans, init)
+    auto = Automaton.build(
+        alphabet,
+        [(render_pairs(a), ev, render_pairs(b)) for (a, ev, b) in edges],
+        map(render_pairs, initial_sets))
+    payloads = payloads_from_ids(auto)
+    if payloads is None:
+        raise InputError("a pair set pairs something other than two state ids")
     return SupervisorAutomaton(auto, payloads, tag, guards)
 
 

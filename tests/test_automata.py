@@ -1,5 +1,7 @@
 """Core automata: identifiers, alphabets, composition, reachability."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,10 @@ def test_event_names_reject_brackets_and_arrows():
     for bad in ("", "a,b", "a(b", "a->b", "a b"):
         with pytest.raises(InputError):
             validate_event_name(bad)
+    # the transition arrow cannot occur in a name: its '>' is a bracket
+    with pytest.raises(InputError, match="illegal character '>' in event "
+                                         "name 'a->b'"):
+        validate_event_name("a->b")
 
 
 def test_split_top_level_respects_depth():
@@ -49,6 +55,13 @@ def test_product_id_round_trip():
     pid = product_id("{(x0,z0)}", "x0")
     assert pid == "({(x0,z0)},x0)"
     assert split_product_id(pid) == ("{(x0,z0)}", "x0")
+
+
+@pytest.mark.parametrize("pid", ["x0", "{(x0,z0)}", "(a,b,c)", "(a)"])
+def test_split_product_id_rejects_non_pairs(pid):
+    with pytest.raises(InputError,
+                       match=re.escape("not a product state id: %r" % pid)):
+        split_product_id(pid)
 
 
 # --- alphabets and automata --------------------------------------------------
@@ -79,6 +92,10 @@ def test_automaton_rejects_undeclared_pieces():
     with pytest.raises(InputError):
         Automaton(frozenset({"p"}), CHAIN_ALPHA, frozenset(),
                   frozenset({"missing"}))
+    with pytest.raises(InputError, match=re.escape(
+            "transition (p,sigma,q) uses undeclared state")):
+        Automaton(frozenset({"p"}), CHAIN_ALPHA,
+                  frozenset({("p", "sigma", "q")}), frozenset({"p"}))
 
 
 def test_successors_sorted_and_strict():
@@ -93,6 +110,8 @@ def test_successors_sorted_and_strict():
 def test_deadlock_detection():
     assert is_deadlock(CHAIN_PLANT, "x3")
     assert not is_deadlock(CHAIN_PLANT, "x0")
+    with pytest.raises(InputError, match="unknown state 'x9'"):
+        is_deadlock(CHAIN_PLANT, "x9")
 
 
 # --- composition -------------------------------------------------------------

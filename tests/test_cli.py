@@ -129,6 +129,23 @@ def test_synthesize_partial(chain_files):
     body = json.loads((tmp / "po.json").read_text())
     assert body["construction_tag"] == "partial"
     assert body["payloads"]
+    assert "notes" not in body
+
+
+def test_synthesize_partial_notes_unpinned_masks(tmp_path):
+    # with sigma unobservable the sidecar says that every completion of a
+    # core is materialized
+    for name, auto in (("g", CHAIN_PLANT), ("r", CHAIN_SPEC)):
+        text = format_automaton(auto).replace("sigma:uc:o", "sigma:uc:uo")
+        (tmp_path / (name + ".aut")).write_text(text)
+    out = str(tmp_path / "po")
+    assert main(["synthesize", str(tmp_path / "g.aut"), str(tmp_path / "r.aut"),
+                 "--partial", "--out", out]) == 0
+    body = json.loads((tmp_path / "po.json").read_text())
+    assert body["notes"] == [
+        "successor observation masks are not pinned by the step rule; every "
+        "admissible (gamma, closure) completion is materialized as a distinct "
+        "state"]
 
 
 def test_synthesize_partial_rejects_variant(chain_files, capsys):
@@ -189,6 +206,34 @@ def test_verify_built_supervisor_passes(chain_files, capsys):
     report = capsys.readouterr().out
     assert "admissible: yes" in report
     assert "verdict: saturated" in report
+
+
+def test_verify_prints_clause_witnesses_and_notes(chain_files, capsys):
+    # without its c edge the chain supervisor misses a mandatory edge at
+    # {(x2,z3)}, and {(x3,z4)} is left unreachable
+    g, r, tmp = chain_files
+    out = str(tmp / "sup")
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    text = (tmp / "sup.aut").read_text()
+    (tmp / "no_c.aut").write_text(
+        "".join(line for line in text.splitlines(keepends=True)
+                if "-c->" not in line))
+    capsys.readouterr()
+    assert main(["verify", str(tmp / "no_c.aut"), g, r]) == 1
+    assert capsys.readouterr() == ("\n".join([
+        "admissible: yes",
+        "in SP (admissible and loop below spec): yes",
+        "gr-check verdict: not-gr",
+        "  clause state   ok",
+        "  clause istate  ok",
+        "  clause 6-a     FAIL",
+        "    witness: ['{(x2,z3)}', 'c']",
+        "  clause 6-b     ok",
+        "  clause sistate ok",
+        "  clause 6-c     ok",
+        "  note: 1 unreachable state(s) ignored by reachable-state clauses",
+        "loop below takai loop: yes",
+        "takai loop below this loop (maximality surrogate): no"]) + "\n", "")
 
 
 def _pool_files(tmp_path, draw):
@@ -298,6 +343,40 @@ def test_verify_alphabet_mismatch(chain_files, capsys):
     assert captured.err == "input error: composition requires identical alphabets\n"
 
 
+@pytest.mark.parametrize("command,message", [
+    ("check", "simulation requires identical alphabets"),
+    ("synthesize", "plant and spec must share one alphabet"),
+    ("synthesize --partial", "plant and spec must share one alphabet")])
+def test_plant_and_spec_alphabet_mismatch(chain_files, capsys, command,
+                                          message):
+    g, _, tmp = chain_files
+    r = tmp / "other.aut"
+    r.write_text("events: sigma:uc:o\ninitial: z0\n")
+    argv = command.split() + [g, str(r)]
+    if command != "check":
+        argv += ["--out", str(tmp / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "input error: %s\n" % message)
+    assert not list(tmp.glob("x.*"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("events: a:c:o,,b:uc:o\ninitial: x0\n",
+     "line 1: empty event declaration"),
+    ("events: a->b:c:o\ninitial: x0\n",
+     "line 1: unbalanced '>' in ' a->b:c:o'"),
+    ("events: a:k:o\ninitial: x0\n",
+     "line 1: controllability of 'a' must be c or uc"),
+    ("events: a:c:hidden\ninitial: x0\n",
+     "line 1: observability of 'a' must be o or uo")])
+def test_bad_event_declarations(chain_files, capsys, text, message):
+    _, r, tmp = chain_files
+    bad = tmp / "bad.aut"
+    bad.write_text(text)
+    assert main(["check", str(bad), r]) == 2
+    assert capsys.readouterr() == ("", "input error: %s\n" % message)
+
+
 # --- exit codes for exhausted resources --------------------------------------
 
 @pytest.mark.parametrize("error,message", [
@@ -363,8 +442,13 @@ def test_random_rejection_exit_3(tmp_path, capsys):
     (["--spec-density", "3"], "spec_density must lie in [0, 1], got 3.0"),
     (["--require-uc-sim", "--max-rejects", "0"], "max_rejects must be at least 1, got 0"),
     (["--require-uc-sim", "--max-rejects", "-4"], "max_rejects must be at least 1, got -4"),
+    # checked also where --require-uc-sim, which reads it, is not given
+    (["--max-rejects", "0"], "max_rejects must be at least 1, got 0"),
+    (["--events", "0"], "need at least one event"),
+    (["--states", "0"], "sizes must be positive"),
 ], ids=["density", "controllable", "observable", "spec-density",
-        "max-rejects-0", "max-rejects-negative"])
+        "max-rejects-0", "max-rejects-negative", "max-rejects-unused",
+        "no-events", "no-states"])
 def test_random_rejects_out_of_range_options(tmp_path, capsys, argv, message):
     rc = main(["random", "--seed", "1", *argv, "--out", str(tmp_path / "r")])
     assert rc == 2
@@ -380,6 +464,14 @@ def test_export_dot(chain_files, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph")
     assert '"x0"' in out
+
+
+def test_export_dot_out(chain_files, capsys):
+    g, _, tmp = chain_files
+    out = tmp / "g.dot"
+    assert main(["export-dot", g, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("wrote %s\n" % out, "")
+    assert out.read_text() == to_dot(load_automaton(g))
 
 
 # --- guard resolution --------------------------------------------------------
@@ -403,6 +495,30 @@ def test_guard_priority_flag_over_config_over_env(tmp_path, monkeypatch):
     guards = resolve_guards(parser.parse_args(
         ["synthesize", "g", "r", "--out", "x"]))
     assert guards.max_states == 10_000
+
+
+def test_guard_config_skips_blank_and_comment_lines(tmp_path, capsys,
+                                                    chain_files):
+    g, r, tmp = chain_files
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("\n   \n  # state cap only\nmax_states = 2\n")
+    rc = main(["synthesize", g, r, "--config", str(cfg),
+               "--out", str(tmp / "x")])
+    assert rc == 3
+    assert capsys.readouterr() == (
+        "", "guard tripped: supervisor state cap 2 exceeded when reaching "
+            "{(x2,z2)}\n")
+
+
+def test_guard_config_rejects_a_non_integer_cap(tmp_path, capsys, chain_files):
+    g, r, tmp = chain_files
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("max_covers = many\n")
+    rc = main(["synthesize", g, r, "--config", str(cfg),
+               "--out", str(tmp / "x")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "input error: max_covers must be an integer, got 'many'\n")
 
 
 def test_guard_config_rejects_garbage(tmp_path, capsys, chain_files):
@@ -439,12 +555,14 @@ def test_label_width_below_4_is_an_input_error(chain_files, capsys, width):
     message = "input error: max_label_width must be at least 4, got %s\n" % width
     assert main(["export-dot", g, "--max-label-width", width]) == 2
     assert capsys.readouterr() == ("", message)
-    # synthesize --dot checks the width before it builds or writes anything
-    rc = main(["synthesize", g, r, "--dot", "--max-label-width", width,
-               "--out", str(tmp / "d")])
-    assert rc == 2
-    assert capsys.readouterr() == ("", message)
-    assert not list(tmp.glob("d.*"))
+    # synthesize checks the width before it builds or writes anything, with
+    # or without --dot, which reads it
+    for dot in (["--dot"], []):
+        rc = main(["synthesize", g, r, *dot, "--max-label-width", width,
+                   "--out", str(tmp / "d")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", message)
+        assert not list(tmp.glob("d.*"))
 
 
 def test_dot_labels_are_abbreviated_to_the_width(chain_files, capsys):

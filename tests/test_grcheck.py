@@ -1,11 +1,13 @@
 """Clause checker: gr clauses, saturation clauses, witnesses, verdicts."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from simsup import (ExplosionGuardError, InputError, compose, in_sp,
                     more_permissive)
+from simsup import grcheck
 from simsup.automata import Automaton, reachable
 from simsup.grcheck import CLAUSE_ORDER, check_gr, check_saturated
 from simsup.synthesis import (Guards, SupervisorAutomaton, SynthesisContext,
@@ -58,15 +60,12 @@ def test_istate_outside_witness():
 
 
 def test_istate_uncovered_witness():
-    # fork plant initial x0 not covered when the initial payload mentions
-    # a different pair only; use an empty-coverage initial instead
-    i0 = frozenset({("x1", "z1")})
-    sup = supervisor_from_pair_sets(
-        FORK_PLANT.alphabet, [i0], [])
+    # an empty initial payload lies over initial pairs only, vacuously, but
+    # gives the initial plant state x0 no partner
+    sup = supervisor_from_pair_sets(FORK_PLANT.alphabet, [frozenset()], [])
     report = check_gr(sup, FORK_PLANT, FORK_SPEC)
-    fails = report.failures_for("istate")
-    assert fails
-    assert fails[0].witness[1] == ("outside", ("x1", "z1"))
+    assert [f.witness for f in report.failures_for("istate")] == \
+        [("{}", ("uncovered", "x0"))]
 
 
 def test_6a_missing_mandatory_edge():
@@ -106,6 +105,45 @@ def test_6b_failures_match_per_edge_membership(seed):
                 if not in_n_set(pay[src], ev, pay[tgt], ctx)]
     got = [f.witness for f in check_gr(sup, plant, spec, ctx).failures_for("6-b")]
     assert got == expected and 0 < len(expected) < len(sup.automaton.transitions)
+
+
+def test_6a_and_6b_failures_in_clause_then_state_event_target_order():
+    # W1 lacks its mandatory sigma edge and W3 its mandatory c edge; W0's
+    # sigma edges to W3 and W5, W3's sigma edge and both of W5's edges land
+    # outside their cover families
+    sup = supervisor_from_pair_sets(
+        CHAIN_ALPHA, [W0],
+        [(W5, "sigma", W0), (W0, "sigma", W5), (W3, "sigma", W2),
+         (W0, "sigma", W1), (W5, "c", W0), (W0, "sigma", W3)])
+    report = check_gr(sup, CHAIN_PLANT, CHAIN_SPEC)
+    assert report.verdict == "not-gr"
+    assert [(f.clause, f.witness) for f in report.clause_failures] == [
+        ("6-a", ("{(x1,z1)}", "sigma")),
+        ("6-a", ("{(x2,z3)}", "c")),
+        ("6-b", ("{(x0,z0)}", "sigma", "{(x2,z3)}")),
+        ("6-b", ("{(x0,z0)}", "sigma", "{(x3,z4)}")),
+        ("6-b", ("{(x2,z3)}", "sigma", "{(x2,z2)}")),
+        ("6-b", ("{(x3,z4)}", "c", "{(x0,z0)}")),
+        ("6-b", ("{(x3,z4)}", "sigma", "{(x0,z0)}"))]
+    assert check_saturated(sup, CHAIN_PLANT, CHAIN_SPEC).to_json() == \
+        report.to_json()
+
+
+def test_check_saturated_derives_its_inputs_once(monkeypatch):
+    # the gr clauses and the saturation clauses share one derivation of the
+    # context, the payloads and the live states
+    calls = Counter()
+    for name in ("_context_for", "_payloads", "reachable"):
+        real = getattr(grcheck, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(grcheck, name, counted)
+    report = check_saturated(chain_sup_b(), CHAIN_PLANT, CHAIN_SPEC)
+    assert report.verdict == "saturated"
+    assert calls == {"_context_for": 1, "_payloads": 1, "reachable": 1}
 
 
 def test_unreachable_states_warn_not_fail():

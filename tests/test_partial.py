@@ -17,7 +17,8 @@ from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
                               in_sp, initial_power_states, render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
-from .oracles import oracle_matchable, oracle_minimal_u_by_branching
+from .oracles import (all_supervisors, oracle_in_sp, oracle_loop_below,
+                      oracle_matchable, oracle_minimal_u_by_branching)
 from .pool import uc_instance
 
 # chain fixture with sigma unobservable
@@ -329,6 +330,14 @@ def test_build_partial_state_cap_trip_point():
                               "<{(x3,z4)}|{sigma}|{(x3,z4)}>")
 
 
+def test_admissible_partial_flags_disabled_uncontrollables():
+    # y0 stops at once, while the plant can take the uncontrollable sigma
+    s = Automaton.build(UO_ALPHA, [], ["y0"])
+    ok, witness = is_admissible_partial(s, UO_PLANT)
+    assert not ok
+    assert witness == (("y0", "x0"), "sigma")
+
+
 def test_admissible_partial_flags_moving_unobservables():
     # y0 -sigma-> y1 changes supervisor state on an unobservable event
     s = Automaton.build(
@@ -351,3 +360,49 @@ def test_partial_builds_land_in_sp(seed):
     ok, witness = is_admissible_partial(sup.automaton, plant)
     assert ok, witness
     assert in_sp(sup.automaton, plant, spec)
+
+
+# --- maximality against every small supervisor --------------------------------
+
+def _unobservable_draws(seeds):
+    """Small pool-shaped draws with an unobservable event, each with its
+    partial build of at most 60 states."""
+    for seed in seeds:
+        rng = random.Random(31 * seed + 7)
+        nx, nz = rng.randint(2, 4), rng.randint(2, 4)
+        plant, spec, _ = random_uc_pair(
+            seed, plant_states=nx, spec_states=nz,
+            n_events=rng.randint(2, 3), observable_ratio=0.6,
+            controllable_ratio=rng.uniform(0.3, 0.7),
+            density=rng.uniform(0.1, 1.2 / max(nx, nz)))
+        if not plant.alphabet.unobservable:
+            continue
+        try:
+            sup = build_partial(plant, spec, Guards(max_states=60))
+        except ExplosionGuardError:
+            continue
+        yield plant, spec, sup.automaton
+
+
+def test_partial_build_is_above_every_small_supervisor():
+    # every supervisor with 1 state (and 2, with at most two observable
+    # events) whose unobservable edges are self-loops, and which is
+    # admissible under partial observation and in SP, has its closed loop
+    # below the build's
+    instances = candidates = 0
+    for plant, spec, built in _unobservable_draws(range(30)):
+        instances += 1
+        unobservable = plant.alphabet.unobservable
+        sizes = (1, 2) if len(plant.alphabet.observable) <= 2 else (1,)
+        for n in sizes:
+            for cand in all_supervisors(plant.alphabet, n):
+                if any(ev in unobservable and y != y1
+                       for (y, ev, y1) in cand.transitions):
+                    continue
+                if not is_admissible_partial(cand, plant)[0] \
+                        or not oracle_in_sp(cand, plant, spec):
+                    continue
+                candidates += 1
+                assert oracle_loop_below(cand, built, plant), \
+                    sorted(cand.transitions)
+    assert instances >= 15 and candidates >= 5000

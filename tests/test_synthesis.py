@@ -535,6 +535,10 @@ def test_supervisor_from_pair_sets_interning():
     sup = supervisor_from_pair_sets(CHAIN_ALPHA, [W0], [(W0, "sigma", W1)])
     assert sup.payloads[render_pairs(W1)] == W1
     assert sup.construction_tag == "user"
+    # an id that does not parse back names no pair of states
+    for bad in (("", "z0"), ("x0,x1", "z0")):
+        with pytest.raises(InputError, match="other than two state ids"):
+            supervisor_from_pair_sets(CHAIN_ALPHA, [frozenset({bad})], [])
 
 
 def test_payloads_from_ids():
