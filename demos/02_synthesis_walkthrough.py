@@ -55,10 +55,11 @@ def main():
     print("  clause_b:", clause_b(w1, "sigma", ctx))
     fam = cover_family(w1, "sigma", ctx)
     print("  candidate pairs:", render_pairs(fam.candidate_pairs))
-    print("  N members:",
-          [render_pairs(v) for v in n_set_members(w1, "sigma", ctx)])
-    print("  minimal covers:",
-          [render_pairs(v) for v in minimal_covers(w1, "sigma", ctx)])
+    # covers come as fixpoint-pair masks; power_states turns them into sets
+    print("  N members:", [render_pairs(v) for v in ctx.power_states(
+        n_set_members(w1, "sigma", ctx))])
+    print("  minimal covers:", [render_pairs(v) for v in ctx.power_states(
+        minimal_covers(w1, "sigma", ctx))])
 
     banner("takai (minimal covers) and variant1 (every cover)")
     takai = build(ctx, "takai")

@@ -168,10 +168,11 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
             targets = auto.succ.get((sid, ev))
             if not targets:
                 continue
-            target_sets = [payloads[t] for t in targets]
-            for mincover in minimal_covers(w, ev, ctx):
-                if not any(t <= mincover for t in target_sets):
-                    failures.append(ClauseFailure("6-c", (sid, ev, mincover)))
+            target_masks = [ctx.mask(payloads[t]) for t in targets]
+            for cover in minimal_covers(w, ev, ctx):
+                if not any(t & cover == t for t in target_masks):
+                    failures.append(ClauseFailure(
+                        "6-c", (sid, ev, ctx.power_state(cover))))
 
     verdict = "saturated" if not failures else "gr-unsaturated"
     return GrReport(verdict, report.clause_failures + failures, report.warnings)

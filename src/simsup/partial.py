@@ -17,9 +17,9 @@ from operator import attrgetter
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _explore, _indices, _minimal_masks,
-                        clause_a, clause_b, disabled_move,
-                        initial_power_states, minimal_covers, render_pairs)
+                        SynthesisContext, _explore, _minimal_masks, clause_a,
+                        clause_b, disabled_move, initial_power_states,
+                        minimal_covers, render_pairs)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
-    root = sum(1 << i for i in _indices(w1, ctx))
+    root = ctx.mask(w1)
     tables = [ctx.answers(ev) for ev in sorted(gamma)]
     cap = ctx.guards.max_covers
     explored = 0
@@ -162,31 +162,33 @@ def build_partial(plant: Automaton, spec: Automaton,
     """
     ctx = SynthesisContext(plant, spec, guards)
     gammas = gamma_candidates(plant.alphabet)
-    # each core is completed once; since a triple holds its core, a core met
-    # again only adds edges
-    completed: dict[PowerState, list[TripleState]] = {}
+    # each core is completed once, keyed by its pair mask; since a triple
+    # holds its core, a core met again only adds edges
+    completed: dict[int, list[TripleState]] = {}
 
-    def completions(w1):
-        ys = completed.get(w1)
+    def completions(core):
+        ys = completed.get(core)
         if ys is None:
-            ys = completed[w1] = _completions(w1, gammas, ctx)
+            ys = completed[core] = _completions(ctx.power_state(core), gammas,
+                                                ctx)
         return ys
 
     def step(y):
         for ev in sorted(y.gamma_uo):
             yield ev, (y,)
         for ev in sigma_y(y, ctx):
-            for w1 in minimal_covers(y.w2, ev, ctx):
-                yield ev, completions(w1)
+            for core in minimal_covers(y.w2, ev, ctx):
+                yield ev, completions(core)
 
-    inits = [y for w01 in initial_power_states(ctx) for y in completions(w01)]
+    inits = [y for w01 in initial_power_states(ctx)
+             for y in completions(ctx.mask(w01))]
     notes = ()
     if plant.alphabet.unobservable:
         notes = ("successor observation masks are not pinned by the step rule; "
                  "every admissible (gamma, closure) completion is materialized "
                  "as a distinct state",)
-    tid = attrgetter("tid")
-    return _explore(ctx, sorted(inits, key=tid), step, tid, "partial", notes)
+    return _explore(ctx, sorted(inits, key=attrgetter("tid")), step,
+                    lambda y: (y.tid, y), "partial", notes)
 
 
 def is_admissible_partial(s: Automaton, g: Automaton):

@@ -7,7 +7,9 @@ enabled occurrence can be answered inside the fixpoint (clause_b).  Successor
 PowerStates are covers: subsets of the one-step successor pairs answering
 every obligation.  The classic construction (tag "takai") uses the minimal
 covers, enumerated directly as the minimal transversals of the obligations'
-allowed sets; variant1 uses every cover.
+allowed sets; variant1 uses every cover.  Both builds know a PowerState by
+its pair mask (bit i for the i-th fixpoint pair) and turn it into a frozenset
+once, when it is first reached.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ def parse_pairs(text: str) -> PowerState:
 class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, and tables derived
     from them: the greatest matching fixpoint (computed once, cached) with
-    its pairs numbered once and their one-step obligations per event."""
+    its pairs numbered once, their one-step obligations per event, and the
+    minimal transversals of each obligation family met."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
     _answers: dict[str, list[tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _transversals: dict[frozenset[int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,12 +121,30 @@ class SynthesisContext:
                     for x1 in gsucc.get((x, event), ())))  # distinct bits
         return table
 
+    def minimal_transversals(self, edges: list[int]) -> tuple[int, ...]:
+        """The minimal transversals of edges in canonical order, cached per
+        obligation family: the set of the edges, which is all MMCS reads."""
+        family = frozenset(edges)
+        out = self._transversals.get(family)
+        if out is None:
+            out = self._transversals[family] = tuple(
+                sorted(_minimal_transversals(edges), key=bit_positions))
+        return out
+
+    def mask(self, w) -> int:
+        """The pair mask of a PowerState; raises InputError on a pair
+        outside the fixpoint."""
+        return sum(1 << i for i in _indices(w, self))
+
+    def power_state(self, mask: int) -> PowerState:
+        """The PowerState of a pair mask."""
+        pairs = self.fixpoint_pairs
+        return frozenset([pairs[i] for i in bit_positions(mask)])
+
     def power_states(self, masks) -> list[PowerState]:
         """The PowerStates of pair masks, in canonical order: masks sort by
         their bit positions as PowerStates sort by their sorted pairs."""
-        pairs = self.fixpoint_pairs
-        return [frozenset(pairs[i] for i in bits)
-                for bits in sorted(map(bit_positions, masks))]
+        return [self.power_state(m) for m in sorted(masks, key=bit_positions)]
 
 
 @dataclass(frozen=True)
@@ -206,39 +229,43 @@ def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
 
 
 def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
-    """Lazily enumerate every cover of (w, event): each subset of the candidate
-    pairs answering every obligation.  Raises the explosion guard when the
-    consumer pulls more than the context's cover cap."""
+    """Lazily enumerate every cover of (w, event) as a pair mask, in canonical
+    order: each subset of the candidate pairs answering every obligation.
+    Raises the explosion guard when the consumer pulls more than the
+    context's cover cap."""
     edges = _edges(w, event, ctx)
     cap = ctx.guards.max_covers
     bits = [1 << j for j in bit_positions(reduce(or_, edges, 0))]
     later = [0] * (len(bits) + 1)  # later[i]: the pool bits from i on
     for i in range(len(bits) - 1, -1, -1):
         later[i] = later[i + 1] | bits[i]
-    pairs = ctx.fixpoint_pairs
 
     def covers():
         if not all(edges):
             return
         yielded = 0
-        # depth-first over the pool bits, ascending, leaving bits[i] out
-        # before taking it in; a branch lives while every edge keeps a chosen
-        # or later bit, so every leaf covers.  An explicit stack, since a
-        # recursive walk is as deep as the pool is wide
-        todo = [(0, 0)]
+        # pre-order over the subsets of the pool, each grown by one pool bit
+        # above its highest, ascending: subsets come out as their bit
+        # positions sort.  A subset lives while every edge keeps a chosen or
+        # later bit; growing by a higher bit leaves fewer later bits, so the
+        # children live up to the first that dies.  An explicit stack, since
+        # a recursive walk is as deep as the pool is wide
+        todo = [(0, 0)]  # (chosen bits, index of the least bit still open)
         while todo:
-            i, chosen = todo.pop()
-            if i == len(bits):
+            chosen, i = todo.pop()
+            if all(e & chosen for e in edges):
                 yielded += 1
                 if yielded > cap:
                     raise _cover_guard(w, event, len(bits),
                                        "cover enumeration", cap)
-                yield frozenset(pairs[j] for j in bit_positions(chosen))
-                continue
-            todo.append((i + 1, chosen | bits[i]))
-            reach = chosen | later[i + 1]
-            if all(e & reach for e in edges):
-                todo.append((i + 1, chosen))
+                yield chosen
+            children = []
+            for j in range(i, len(bits)):
+                reach = chosen | later[j]
+                if not all(e & reach for e in edges):
+                    break
+                children.append((chosen | bits[j], j + 1))
+            todo += reversed(children)
 
     return covers()
 
@@ -303,17 +330,19 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     return out
 
 
-def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[PowerState]:
-    """Minimal members of the cover family, sorted canonically.
+def minimal_covers(w: PowerState, event: str,
+                   ctx: SynthesisContext) -> tuple[int, ...]:
+    """Minimal members of the cover family, as pair masks in canonical order.
 
     A minimal cover is a minimal transversal of the obligations' answer
     masks over the fixpoint pairs.  The cover cap bounds the choice functions
     (the product of the answer counts), checked before anything is
-    enumerated.
+    enumerated or looked up in the context's cache, so a trip is never
+    cached.
     """
     edges = _edges(w, event, ctx)
     if not all(edges):
-        return []
+        return ()
     cap = ctx.guards.max_covers
     choices = 1
     for e in edges:
@@ -321,7 +350,7 @@ def minimal_covers(w: PowerState, event: str, ctx: SynthesisContext) -> list[Pow
         if choices > cap:
             raise _cover_guard(w, event, reduce(or_, edges, 0).bit_count(),
                                "choice-function enumeration", cap)
-    return ctx.power_states(_minimal_transversals(edges))
+    return ctx.minimal_transversals(edges)
 
 
 def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
@@ -369,36 +398,43 @@ class SupervisorAutomaton:
     notes: tuple[str, ...] = ()
 
 
-def _explore(ctx: SynthesisContext, initial, step, name, tag: str,
+def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
              notes: tuple[str, ...] = ()) -> SupervisorAutomaton:
-    """Breadth-first construction of a supervisor from its initial payloads.
+    """Breadth-first construction of a supervisor from its initial keys.
 
-    step(p) yields (event, target payloads) for each edge bundle leaving p.
-    Each state's id is rendered once, by name(p), when its payload is first
-    reached.  The initial states are all kept; reaching any other new state
-    when the supervisor already holds max_states trips the state cap.
+    A state is known by a hashable key; state(key) makes its id and payload,
+    once, when the key is first reached.  step(p) yields (event, target
+    keys) for each edge bundle leaving the state of payload p.  The initial
+    states are all kept; reaching any other new state when the supervisor
+    already holds max_states trips the state cap.
     """
-    ids = {p: name(p) for p in initial}
-    payloads = {pid: p for p, pid in ids.items()}
-    queue = deque(ids)
+    ids = {}
+    payloads = {}
+    queue = deque()
+
+    def add(key, sid, p):
+        ids[key] = sid
+        payloads[sid] = p
+        queue.append((sid, p))
+
+    for key in initial:
+        if key not in ids:
+            add(key, *state(key))
     init = frozenset(payloads)
     cap = ctx.guards.max_states
     edges = set()
     while queue:
-        p = queue.popleft()
-        src = ids[p]
+        src, p = queue.popleft()
         for ev, targets in step(p):
-            for p1 in targets:
-                tid = ids.get(p1)
+            for key in targets:
+                tid = ids.get(key)
                 if tid is None:
-                    tid = name(p1)
+                    tid, p1 = state(key)
                     if len(payloads) >= cap:
                         raise ExplosionGuardError(
                             "supervisor state cap %d exceeded when reaching %s"
                             % (cap, tid))
-                    ids[p1] = tid
-                    payloads[tid] = p1
-                    queue.append(p1)
+                    add(key, tid, p1)
                 edges.add((src, ev, tid))
     auto = Automaton(frozenset(payloads), ctx.plant.alphabet, frozenset(edges),
                      init)
@@ -409,6 +445,7 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     """Breadth-first construction of the reachable supervisor.
 
     takai: edges to every minimal cover.  variant1: edges to every cover.
+    States are keyed by pair mask.
     """
     if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
@@ -419,9 +456,16 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
                 if variant == "takai":
                     yield ev, minimal_covers(w, ev, ctx)
                 else:
-                    yield ev, sorted(n_set_members(w, ev, ctx), key=_canon)
+                    # drawn in full, so a cover-cap trip comes before any
+                    # state of the bundle is reached
+                    yield ev, list(n_set_members(w, ev, ctx))
 
-    return _explore(ctx, initial_power_states(ctx), step, render_pairs, variant)
+    def state(mask):
+        w = ctx.power_state(mask)
+        return render_pairs(w), w
+
+    return _explore(ctx, map(ctx.mask, initial_power_states(ctx)), step,
+                    state, variant)
 
 
 def prune_deadlocks(sup: SupervisorAutomaton) -> SupervisorAutomaton:

@@ -152,9 +152,13 @@ def test_criterion_01_chain_fixpoint(report):
 
 def test_criterion_02_chain_n_sets(report):
     ctx = SynthesisContext(CHAIN_PLANT, CHAIN_SPEC, Guards())
-    assert set(n_set_members(W0, "sigma", ctx)) == {W1}
-    assert set(n_set_members(W1, "sigma", ctx)) == {W2, W3, W4}
-    assert set(n_set_members(W3, "c", ctx)) == {W5}
+
+    def n_set(w, ev):
+        return set(ctx.power_states(n_set_members(w, ev, ctx)))
+
+    assert n_set(W0, "sigma") == {W1}
+    assert n_set(W1, "sigma") == {W2, W3, W4}
+    assert n_set(W3, "c") == {W5}
     report(2, "N(W0,sigma)={W1}, N(W1,sigma)={W2,W3,W4}, N(W3,c)={W5}")
 
 
@@ -248,7 +252,8 @@ def test_criterion_09_variant_relationships(built, report):
                 if not (clause_a(w, ev, ctx) and clause_b(w, ev, ctx)):
                     assert not got, (e["seed"], sid, ev)
                     continue
-                want = oracle_variant2_targets(list(n_set_members(w, ev, ctx)))
+                want = oracle_variant2_targets(
+                    ctx.power_states(n_set_members(w, ev, ctx)))
                 assert len(want) == len(got) and set(want) == got, \
                     (e["seed"], sid, ev)
         assert auto.transitions <= v1.automaton.transitions, e["seed"]

@@ -9,6 +9,7 @@ from simsup import (Alphabet, Automaton, check_simulation, cli, compose,
                     format_automaton, is_admissible, is_simulation_relation,
                     load_automaton, to_dot)
 from simsup.cli import main, resolve_guards, build_parser
+from simsup.randgen import random_uc_pair
 from simsup.synthesis import disabled_move
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT, FORK_SPEC, FORK_S1
@@ -169,6 +170,25 @@ def test_synthesize_guard_exit_3(chain_files, capsys):
                "--out", str(tmp / "x")])
     assert rc == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_state_cap_trip_names_the_first_new_cover_in_canonical_order(
+        tmp_path, capsys):
+    # at state cap 6 the tripping step reaches several new minimal covers;
+    # the build visits them as PowerStates sort by their sorted pairs, which
+    # is not the order of their pair masks as ints
+    plant, spec, _ = random_uc_pair(0, plant_states=7, spec_states=5,
+                                    n_events=3, density=1.2 / 7,
+                                    spec_density=1.2 / 5)
+    g, r = tmp_path / "g.aut", tmp_path / "r.aut"
+    g.write_text(format_automaton(plant))
+    r.write_text(format_automaton(spec))
+    rc = main(["synthesize", str(g), str(r), "--max-states", "6",
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "guard tripped: supervisor state cap 6 exceeded when reaching "
+        "{(x1,z0),(x2,z0),(x3,z0),(x6,z1)}\n")
 
 
 def test_synthesize_variant1_wide_cover_pool_exit_3(tmp_path, capsys):

@@ -28,16 +28,24 @@ def test_chain_fixpoint_matches_closed_form():
 
 def test_chain_n_sets():
     ctx = chain_ctx()
-    assert set(n_set_members(W0, "sigma", ctx)) == {W1}
-    assert set(n_set_members(W1, "sigma", ctx)) == {W2, W3, W4}
-    assert set(n_set_members(W3, "c", ctx)) == {W5}
+
+    def n_set(w, ev):
+        return set(ctx.power_states(n_set_members(w, ev, ctx)))
+
+    assert n_set(W0, "sigma") == {W1}
+    assert n_set(W1, "sigma") == {W2, W3, W4}
+    assert n_set(W3, "c") == {W5}
 
 
 def test_chain_minimal_covers():
     ctx = chain_ctx()
-    assert minimal_covers(W0, "sigma", ctx) == [W1]
-    assert set(minimal_covers(W1, "sigma", ctx)) == {W2, W3}
-    assert minimal_covers(W3, "c", ctx) == [W5]
+
+    def covers(w, ev):
+        return ctx.power_states(minimal_covers(w, ev, ctx))
+
+    assert covers(W0, "sigma") == [W1]
+    assert set(covers(W1, "sigma")) == {W2, W3}
+    assert covers(W3, "c") == [W5]
 
 
 def test_chain_supervisors_use_the_known_states():

@@ -108,9 +108,10 @@ def test_n_set_membership_predicate():
 
 
 def test_n_set_enumeration_guard():
-    covers = n_set_members(W1, "sigma", chain_ctx(max_covers=2))
-    assert next(covers) == W3
-    assert next(covers) == W2
+    ctx = chain_ctx(max_covers=2)
+    covers = n_set_members(W1, "sigma", ctx)
+    assert ctx.power_state(next(covers)) == W2
+    assert ctx.power_state(next(covers)) == W4
     with pytest.raises(ExplosionGuardError) as exc:
         next(covers)
     assert str(exc.value) == ("cover enumeration cap 2 exceeded at "
@@ -118,8 +119,8 @@ def test_n_set_enumeration_guard():
 
 
 def test_n_set_members_yield_order():
-    # each candidate is left out before it is taken in: covers come in
-    # lexicographic order of their membership vectors over candidate_pairs
+    # covers come once each, in canonical order: as their PowerStates sort
+    # by their sorted pairs
     plant, spec = random_pair(4, plant_states=3, spec_states=3, n_events=2,
                               density=0.4)
     ctx = SynthesisContext(plant, spec, Guards())
@@ -128,9 +129,8 @@ def test_n_set_members_yield_order():
     for i in range(0, len(pairs) - 1, 2):
         w = frozenset(pairs[i:i + 2])
         for ev in plant.alphabet.events:
-            cands = cover_family(w, ev, ctx).candidate_pairs
-            got = list(n_set_members(w, ev, ctx))
-            assert got == sorted(got, key=lambda s: [c in s for c in cands])
+            got = [ctx.power_state(m) for m in n_set_members(w, ev, ctx)]
+            assert got == sorted(set(got), key=lambda s: tuple(sorted(s)))
             seen += len(got)
     assert seen == 53
 
@@ -152,13 +152,13 @@ def test_n_sets_match_brute_force(seed):
         for i in range(len(sample) - k + 1):
             w = frozenset(sample[i:i + k])
             for ev in plant.alphabet.events:
-                mine = set(n_set_members(w, ev, ctx))
+                mine = set(ctx.power_states(n_set_members(w, ev, ctx)))
                 brute = set(oracle_n_set(w, ev, plant, spec, w_up))
                 # the oracle keeps covers made of candidate pairs only, and
                 # so does the enumerator; compare them outright
                 assert mine == brute
-                assert set(minimal_covers(w, ev, ctx)) == set(
-                    oracle_minimal(list(brute)))
+                assert set(ctx.power_states(minimal_covers(w, ev, ctx))) \
+                    == set(oracle_minimal(list(brute)))
                 # membership: every subset of the pool, alone and with one
                 # fixpoint pair outside the pool or one pair outside the
                 # fixpoint added
@@ -174,9 +174,16 @@ def test_n_sets_match_brute_force(seed):
 
 def _covers_or_guard(fn, w, ev, ctx):
     try:
-        return fn(w, ev, ctx)
+        return list(fn(w, ev, ctx))
     except ExplosionGuardError as exc:
         return ("guard", str(exc))
+
+
+def _as_power_states(covers, ctx):
+    """Pair masks as PowerStates, in the order given; a guard as it is."""
+    if covers[:1] == ("guard",):
+        return covers
+    return [ctx.power_state(m) for m in covers]
 
 
 @pytest.mark.parametrize("seed,nx,nz,max_covers", [
@@ -195,7 +202,8 @@ def test_minimal_covers_match_choice_oracle_on_builds(monkeypatch, seed, nx,
 
     def checked(w, ev, ctx):
         got = _covers_or_guard(real, w, ev, ctx)
-        assert got == _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
+        assert _as_power_states(got, ctx) == \
+            _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
         outcomes.append(got)
         if isinstance(got, tuple):
             raise ExplosionGuardError(got[1])
@@ -231,7 +239,8 @@ def test_obligation_readers_match_string_oracles(seed, nx, nz, density, data):
                 assert clause_b(w, ev, ctx) == (
                     ev in plant.alphabet.uncontrollable
                     or oracle_matchable(w, ev, plant, spec, ctx.w_up))
-                assert _covers_or_guard(minimal_covers, w, ev, ctx) == \
+                assert _as_power_states(
+                    _covers_or_guard(minimal_covers, w, ev, ctx), ctx) == \
                     _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
 
 
@@ -253,11 +262,13 @@ def test_minimal_transversals_match_brute_force(case):
         _brute_minimal_transversals(n, edges)
 
 
-def _fan(branches: int, answers: int, max_covers: int) -> SynthesisContext:
+def _fan(branches: int, answers: int, max_covers: int,
+         sources=("p",)) -> SynthesisContext:
     """W = {(p,z)}: p -a-> q_i for each branch, z -a-> r_j for each answer,
-    so (W, a) has `branches` obligations of `answers` allowed pairs each."""
+    so (W, a) has `branches` obligations of `answers` allowed pairs each.
+    Every other source state moves as p does."""
     alpha = Alphabet.build(["a"])
-    plant = Automaton.build(alpha, [("p", "a", "q%d" % i)
+    plant = Automaton.build(alpha, [(x, "a", "q%d" % i) for x in sources
                                     for i in range(branches)], ["p"])
     spec = Automaton.build(alpha, [("z", "a", "r%d" % j)
                                    for j in range(answers)], ["z"])
@@ -270,7 +281,8 @@ def test_minimal_covers_guard_boundary():
     ctx = _fan(2, 2, 4)
     covers = minimal_covers(w, "a", ctx)
     assert len(covers) == 4
-    assert covers == oracle_minimal_covers_by_choice(w, "a", ctx)
+    assert _as_power_states(covers, ctx) == \
+        oracle_minimal_covers_by_choice(w, "a", ctx)
     with pytest.raises(ExplosionGuardError) as exc:
         minimal_covers(w, "a", _fan(2, 2, 3))
     assert str(exc.value) == ("choice-function enumeration cap 3 exceeded at "
@@ -280,6 +292,54 @@ def test_minimal_covers_guard_boundary():
     with pytest.raises(ExplosionGuardError) as exc:
         minimal_covers(w, "a", _fan(60, 2, 4096))
     assert str(exc.value).startswith("choice-function enumeration cap 4096 ")
+
+
+def _counted_transversals(monkeypatch) -> list:
+    """Record each MMCS run the synthesis module makes."""
+    runs = []
+
+    def counted(edges):
+        runs.append(list(edges))
+        return _minimal_transversals(edges)
+
+    monkeypatch.setattr(synthesis, "_minimal_transversals", counted)
+    return runs
+
+
+P, P2 = frozenset({("p", "z")}), frozenset({("p2", "z")})
+
+
+def test_minimal_covers_run_once_per_obligation_family(monkeypatch):
+    # {(p,z)}, {(p2,z)} and both together owe one answer to each of two
+    # moves, out of the same two pairs: one obligation family
+    runs = _counted_transversals(monkeypatch)
+    ctx = _fan(2, 2, 4096, sources=("p", "p2"))
+    got = [minimal_covers(w, "a", ctx) for w in (P, P2, P | P2)]
+    assert len(runs) == 1
+    assert got[0] == got[1] == got[2]
+    assert _as_power_states(got[0], ctx) == \
+        oracle_minimal_covers_by_choice(P2, "a", ctx)
+
+
+def test_cover_cap_trips_before_the_transversal_cache(monkeypatch):
+    runs = _counted_transversals(monkeypatch)
+    # P has 2 x 2 choice functions, P | P2 has 4 x 4 over the same family:
+    # the cached family does not let P | P2 past the cap
+    ctx = _fan(2, 2, 4, sources=("p", "p2"))
+    assert len(minimal_covers(P, "a", ctx)) == 4
+    for _ in range(2):
+        with pytest.raises(ExplosionGuardError) as exc:
+            minimal_covers(P | P2, "a", ctx)
+        assert str(exc.value) == (
+            "choice-function enumeration cap 4 exceeded at "
+            "({(p,z),(p2,z)}, a) with 4 candidate pairs")
+    assert len(runs) == 1
+    # a family over the cap trips on every call, and is never run
+    over = _fan(2, 2, 3)
+    for _ in range(2):
+        with pytest.raises(ExplosionGuardError):
+            minimal_covers(P, "a", over)
+    assert len(runs) == 1
 
 
 # --- initial states ----------------------------------------------------------
@@ -372,8 +432,8 @@ def test_takai_targets_equal_variant2_oracle():
         for ev in CHAIN_ALPHA.events:
             targets = {sup.payloads[t] for t in auto.succ.get((sid, ev), ())}
             if targets:
-                assert targets == set(
-                    oracle_variant2_targets(list(n_set_members(w, ev, ctx))))
+                assert targets == set(oracle_variant2_targets(
+                    ctx.power_states(n_set_members(w, ev, ctx))))
                 edges += len(targets)
     assert edges == len(auto.transitions)
 
