@@ -254,22 +254,37 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simsup",
-        description="Supervisor synthesis and verification for the similarity "
-                    "control problem over nondeterministic finite automata.")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, built on its first parse.
 
-    p = subs.add_parser("check", help="decide the (uc-)simulation preorder")
+    `build_parser` registers every subcommand by name and help string only;
+    `fill` adds the arguments of the one subcommand that argv names, so a
+    call pays for one subcommand's parser, not six. This relies on argparse
+    passing `add_parser`'s extra keyword arguments to `parser_class`, and
+    parsing a subcommand's arguments through its `parse_known_args`.
+    """
+
+    def __init__(self, fill, **kwargs):
+        self.pending = (fill, kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending is not None:
+            fill, kwargs = self.pending
+            self.pending = None
+            super().__init__(**kwargs)
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _fill_check(p) -> None:
     p.add_argument("plant")
     p.add_argument("spec")
     p.add_argument("--mode", choices=("uc", "full"), default="uc")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check)
 
-    p = subs.add_parser("synthesize", help="build a supervisor")
+
+def _fill_synthesize(p) -> None:
     p.add_argument("plant")
     p.add_argument("spec")
     # no default, so that --partial can tell an explicit --variant apart
@@ -283,18 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guard_options(p)
     p.set_defaults(func=cmd_synthesize)
 
-    p = subs.add_parser(
-        "verify",
-        help="verify a supervisor file; exit 0 iff admissible, in SP, "
-             "saturated (when state ids parse as pair sets) and mutually "
-             "permissive with a fresh takai build")
+
+def _fill_verify(p) -> None:
     p.add_argument("supervisor")
     p.add_argument("plant")
     p.add_argument("spec")
     _add_guard_options(p)
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("compose", help="synchronous composition of two automata")
+
+def _fill_compose(p) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--full", action="store_true",
@@ -302,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compose)
 
-    p = subs.add_parser("random", help="emit a seeded random plant/spec pair")
+
+def _fill_random(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--spec-states", type=int, default=4)
@@ -318,12 +332,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_random)
 
-    p = subs.add_parser("export-dot", help="render an automaton file as DOT")
+
+def _fill_export_dot(p) -> None:
     p.add_argument("file")
     p.add_argument("--out", default=None)
     p.add_argument("--max-label-width", type=int, default=40)
     p.set_defaults(func=cmd_export_dot)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="simsup",
+        description="Supervisor synthesis and verification for the similarity "
+                    "control problem over nondeterministic finite automata.")
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_Command)
+    subs.add_parser("check", fill=_fill_check,
+                    help="decide the (uc-)simulation preorder")
+    subs.add_parser("synthesize", fill=_fill_synthesize,
+                    help="build a supervisor")
+    subs.add_parser(
+        "verify", fill=_fill_verify,
+        help="verify a supervisor file; exit 0 iff admissible, in SP, "
+             "saturated (when state ids parse as pair sets) and mutually "
+             "permissive with a fresh takai build")
+    subs.add_parser("compose", fill=_fill_compose,
+                    help="synchronous composition of two automata")
+    subs.add_parser("random", fill=_fill_random,
+                    help="emit a seeded random plant/spec pair")
+    subs.add_parser("export-dot", fill=_fill_export_dot,
+                    help="render an automaton file as DOT")
     return parser
 
 

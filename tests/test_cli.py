@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, guard resolution."""
 
+import argparse
 import json
 import re
 
@@ -600,3 +601,220 @@ def test_dot_labels_are_abbreviated_to_the_width(chain_files, capsys):
                 assert len(label) == width
             else:
                 assert label == state
+
+
+# --- help and usage text -----------------------------------------------------
+
+# Every help and usage error text at COLUMNS=80, byte for byte: building a
+# subcommand's parser only when argv names it must not change them. argparse
+# prints the same bytes on Python 3.10 to 3.13.
+
+USAGE = """\
+usage: simsup [-h] [--version]
+              {check,synthesize,verify,compose,random,export-dot} ...
+"""
+
+SYNTHESIZE_USAGE = """\
+usage: simsup synthesize [-h] [--variant {takai,variant1}] [--prune-deadlocks]
+                         [--partial] --out OUT [--dot]
+                         [--max-label-width MAX_LABEL_WIDTH]
+                         [--max-states MAX_STATES] [--max-covers MAX_COVERS]
+                         [--config CONFIG]
+                         plant spec
+"""
+
+VERIFY_USAGE = """\
+usage: simsup verify [-h] [--max-states MAX_STATES] [--max-covers MAX_COVERS]
+                     [--config CONFIG]
+                     supervisor plant spec
+"""
+
+GUARD_OPTIONS_HELP = """\
+  --max-states MAX_STATES
+                        cap on materialized supervisor states
+  --max-covers MAX_COVERS
+                        cap on enumerated covers per state and event
+  --config CONFIG       key=value config file for guard caps
+"""
+
+HELP = {
+    (): USAGE + """
+Supervisor synthesis and verification for the similarity control problem over
+nondeterministic finite automata.
+
+positional arguments:
+  {check,synthesize,verify,compose,random,export-dot}
+    check               decide the (uc-)simulation preorder
+    synthesize          build a supervisor
+    verify              verify a supervisor file; exit 0 iff admissible, in
+                        SP, saturated (when state ids parse as pair sets) and
+                        mutually permissive with a fresh takai build
+    compose             synchronous composition of two automata
+    random              emit a seeded random plant/spec pair
+    export-dot          render an automaton file as DOT
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    ("check",): """\
+usage: simsup check [-h] [--mode {uc,full}] [--format {text,json}] plant spec
+
+positional arguments:
+  plant
+  spec
+
+options:
+  -h, --help            show this help message and exit
+  --mode {uc,full}
+  --format {text,json}
+""",
+    ("synthesize",): SYNTHESIZE_USAGE + """
+positional arguments:
+  plant
+  spec
+
+options:
+  -h, --help            show this help message and exit
+  --variant {takai,variant1}
+  --prune-deadlocks
+  --partial             partial-observation construction over triple states
+  --out OUT             output path prefix
+  --dot                 also write a DOT file
+  --max-label-width MAX_LABEL_WIDTH
+""" + GUARD_OPTIONS_HELP,
+    ("verify",): VERIFY_USAGE + """
+positional arguments:
+  supervisor
+  plant
+  spec
+
+options:
+  -h, --help            show this help message and exit
+""" + GUARD_OPTIONS_HELP,
+    ("compose",): """\
+usage: simsup compose [-h] [--full] [--out OUT] left right
+
+positional arguments:
+  left
+  right
+
+options:
+  -h, --help  show this help message and exit
+  --full      materialize the full product, not only the reachable part
+  --out OUT
+""",
+    ("random",): """\
+usage: simsup random [-h] --seed SEED [--states STATES]
+                     [--spec-states SPEC_STATES] [--events EVENTS]
+                     [--controllable-ratio CONTROLLABLE_RATIO]
+                     [--density DENSITY] [--spec-density SPEC_DENSITY]
+                     [--observable-ratio OBSERVABLE_RATIO] [--initial INITIAL]
+                     [--require-uc-sim] [--max-rejects MAX_REJECTS] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --states STATES
+  --spec-states SPEC_STATES
+  --events EVENTS
+  --controllable-ratio CONTROLLABLE_RATIO
+  --density DENSITY
+  --spec-density SPEC_DENSITY
+  --observable-ratio OBSERVABLE_RATIO
+  --initial INITIAL
+  --require-uc-sim      rejection-sample until the plant is uc-similar to the
+                        spec
+  --max-rejects MAX_REJECTS
+  --out OUT             output path prefix
+""",
+    ("export-dot",): """\
+usage: simsup export-dot [-h] [--out OUT] [--max-label-width MAX_LABEL_WIDTH]
+                         file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --max-label-width MAX_LABEL_WIDTH
+""",
+}
+
+
+def _run_main(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("command", list(HELP),
+                         ids=lambda command: "-".join(("simsup", *command)))
+def test_help_text(command, capsys, monkeypatch):
+    assert _run_main([*command, "--help"], capsys, monkeypatch) \
+        == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], USAGE + "simsup: error: the following arguments are required: "
+                 "command\n"),
+    (["bogus"], USAGE + "simsup: error: argument command: invalid choice: "
+                        "'bogus' (choose from 'check', 'synthesize', "
+                        "'verify', 'compose', 'random', 'export-dot')\n"),
+    (["synthesize", "g", "r"],
+     SYNTHESIZE_USAGE + "simsup synthesize: error: the following arguments "
+                        "are required: --out\n"),
+    (["verify", "a", "b", "c", "--max-states", "x"],
+     VERIFY_USAGE + "simsup verify: error: argument --max-states: invalid "
+                    "int value: 'x'\n"),
+], ids=["no-arguments", "unknown-command", "synthesize-without-out",
+        "verify-bad-max-states"])
+def test_usage_error_text_exit_2(argv, message, capsys, monkeypatch):
+    assert _run_main(argv, capsys, monkeypatch) == (2, "", message)
+
+
+# --- parser construction -----------------------------------------------------
+
+def test_main_calls_a_fresh_parser_through_the_module_name(chain_files,
+                                                           capsys,
+                                                           monkeypatch):
+    # bench/tracer.py replaces `cli.build_parser` by a wrapper that rebinds
+    # `parse_args` on each parser it returns; a parser shared between calls
+    # would stack one wrapper per call
+    assert build_parser() is not build_parser()
+    g, r, _ = chain_files
+    calls = []
+
+    def traced_build_parser():
+        parser = build_parser()
+        parse_args = parser.parse_args
+
+        def traced_parse_args(argv):
+            calls.append(argv)
+            return parse_args(argv)
+
+        parser.parse_args = traced_parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", traced_build_parser)
+    assert main(["check", g, r]) == 0
+    assert main(["check", g, r]) == 0
+    assert calls == [["check", g, r], ["check", g, r]]
+
+
+def test_parse_builds_only_the_named_subcommand():
+    parser = build_parser()
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+    def built():
+        return {name for name, sub in subs.choices.items()
+                if sub.pending is None}
+
+    assert built() == set()
+    args = parser.parse_args(["synthesize", "g", "r", "--out", "x"])
+    assert (args.func, args.out) == (cli.cmd_synthesize, "x")
+    assert built() == {"synthesize"}
