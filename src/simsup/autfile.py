@@ -89,8 +89,9 @@ def parse_automaton(text: str) -> Automaton:
     states |= initial | {s for (s, _, _) in transitions} | {t for (_, _, t) in transitions}
     if not initial:
         raise ParseError("no initial states declared")
-    return Automaton(frozenset(states), alphabet, frozenset(transitions),
-                     frozenset(initial))
+    # every id went through state_id above
+    return Automaton._of_valid_ids(frozenset(states), alphabet,
+                                   frozenset(transitions), frozenset(initial))
 
 
 def format_automaton(a: Automaton) -> str:

@@ -140,6 +140,24 @@ class Automaton:
         object.__setattr__(self, "initial", frozenset(self.initial))
         for s in self.states:
             validate_state_id(s)
+        self._check_structure()
+
+    @classmethod
+    def _of_valid_ids(cls, states: frozenset[str], alphabet: Alphabet,
+                      transitions: frozenset[tuple[str, str, str]],
+                      initial: frozenset[str]) -> "Automaton":
+        """An Automaton whose state ids are known valid: parsed ids already
+        checked, or ids rendered from valid ones.  Makes every check but
+        validate_state_id."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "states", states)
+        object.__setattr__(a, "alphabet", alphabet)
+        object.__setattr__(a, "transitions", transitions)
+        object.__setattr__(a, "initial", initial)
+        a._check_structure()
+        return a
+
+    def _check_structure(self):
         if not self.initial:
             raise InputError("initial state set is empty")
         if not self.initial <= self.states:
@@ -241,8 +259,9 @@ def compose(s: Automaton, g: Automaton, full: bool = False) -> Automaton:
                         seen.add((y1, x1))
                         pairs.append((y1, x1))
                     trans.add((src, ev, product_id(y1, x1)))
-    return Automaton(frozenset(product_id(y, x) for (y, x) in pairs),
-                     s.alphabet, frozenset(trans), init)
+    return Automaton._of_valid_ids(
+        frozenset(product_id(y, x) for (y, x) in pairs), s.alphabet,
+        frozenset(trans), init)
 
 
 def bisim_quotient(a: Automaton) -> Automaton:
@@ -294,10 +313,10 @@ def bisim_quotient(a: Automaton) -> Automaton:
     for s, b in zip(states, block):
         least.setdefault(b, s)
     name = {s: least[b] for s, b in zip(states, block)}
-    return Automaton(frozenset(least.values()), a.alphabet,
-                     frozenset((name[src], ev, name[tgt])
-                               for (src, ev, tgt) in a.transitions),
-                     frozenset(name[s] for s in a.initial))
+    return Automaton._of_valid_ids(
+        frozenset(least.values()), a.alphabet,
+        frozenset((name[src], ev, name[tgt]) for (src, ev, tgt) in a.transitions),
+        frozenset(name[s] for s in a.initial))
 
 
 def reachable(a: Automaton) -> dict[str, tuple[str, ...]]:

@@ -16,6 +16,7 @@ from operator import attrgetter
 
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
+from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
                         SynthesisContext, _explore, _minimal_masks, clause_a,
                         clause_b, disabled_move, initial_power_states,
@@ -57,22 +58,25 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
 
     Branches over the answers to the least unmet obligation, closing each
     branch to a fixpoint, then antichain-reduces the closures.  Works over
-    pair bitmasks.
+    pair bitmasks; the cap bounds the distinct pair sets the search reaches
+    from w1, closed or not.
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
     root = ctx.mask(w1)
-    tables = [ctx.answers(ev) for ev in sorted(gamma)]
+    answer, owns, answered = ctx.closure_table(gamma)
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
     seen = set()
-    # (mask, least pair index that may hold an unmet obligation): adding a
-    # pair never un-answers an obligation, so a child rescans from the lesser
-    # of its parent's unmet pair and the pair it added
-    stack = [(root, 0)]
+    # (mask, its unmet obligations as a mask of ctx.closure_table numbers):
+    # adding a pair never un-answers an obligation, so a child's unmet set is
+    # its parent's less what the added pair answers, plus what that pair owns
+    # and the child leaves unanswered
+    stack = [(root, sum(bit for i in bit_positions(root)
+                        for bit, mask in owns[i] if not root & mask))]
     while stack:
-        w, start = stack.pop()
+        w, unmet = stack.pop()
         if w in seen:
             continue
         seen.add(w)
@@ -81,28 +85,23 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             raise ExplosionGuardError(
                 "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
                 % (cap, render_pairs(w1), ",".join(sorted(gamma))))
-        unmet = None
-        todo = w >> start << start
-        while todo and unmet is None:
-            low = todo & -todo
-            todo ^= low
-            at = low.bit_length() - 1
-            for table in tables:
-                for mask in table[at]:
-                    if not w & mask:
-                        unmet = mask
-                        break
-                if unmet is not None:
-                    break
-        if unmet is None:
+        if not unmet:
             closed.append(w)
             continue
-        # ascending bits are the answers in spec-successor order, since x' is
-        # fixed and the pairs are sorted; with none, the branch dies
-        while unmet:
-            b = unmet & -unmet
-            unmet ^= b
-            stack.append((w | b, min(at, b.bit_length() - 1)))
+        # the lowest bit is the least unmet obligation; ascending bits of its
+        # answers are the spec successors in order, since x' is fixed and the
+        # pairs are sorted; with none, the branch dies
+        todo = answer[(unmet & -unmet).bit_length() - 1]
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            child = w | b
+            at = b.bit_length() - 1
+            left = unmet & ~answered[at]
+            for bit, mask in owns[at]:
+                if not child & mask:
+                    left |= bit
+            stack.append((child, left))
     if closed == [root]:
         # a closed core is the only minimum, and is returned as itself: a
         # build holds every triple's core and closure

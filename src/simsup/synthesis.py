@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .automata import (Automaton, bisim_quotient, compose, is_deadlock,
                        split_product_id, split_top_level)
@@ -32,8 +33,8 @@ PowerState = frozenset  # of Pair
 class Guards:
     """Explosion caps: reachable supervisor states, and an enumeration cap
     that bounds the choice functions behind each set of minimal covers, the
-    covers variant1 yields per (PowerState, event), the closures minimal_u
-    explores and the initial combinations."""
+    covers variant1 yields per (PowerState, event), the distinct pair sets
+    minimal_u reaches from W1 and the initial combinations."""
 
     max_states: int = 10_000
     max_covers: int = 4_096
@@ -67,12 +68,28 @@ def parse_pairs(text: str) -> PowerState:
     return frozenset(pairs)
 
 
+class ClosureTable(NamedTuple):
+    """The obligations of the fixpoint pairs under a set of events gamma,
+    numbered k = 0, 1, ... by pair ascending, then gamma's events sorted,
+    then plant successor: bit k of an obligation mask stands for the k-th.
+
+    answer[k] is the k-th obligation's answer mask (a row entry of
+    SynthesisContext.answers); owns[i] lists (bit k, answer[k]) for the
+    obligations of the i-th pair; answered[j] masks the obligations whose
+    answers hold the j-th pair.
+    """
+
+    answer: tuple[int, ...]
+    owns: tuple[tuple[tuple[int, int], ...], ...]
+    answered: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, and tables derived
     from them: the greatest matching fixpoint (computed once, cached) with
-    its pairs numbered once, their one-step obligations per event, and the
-    minimal transversals of each obligation family met."""
+    its pairs numbered once, their one-step obligations per event and per
+    event set, and the minimal transversals of each obligation family met."""
 
     plant: Automaton
     spec: Automaton
@@ -80,6 +97,8 @@ class SynthesisContext:
     _answers: dict[str, list[tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _transversals: dict[frozenset[int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _closure_tables: dict[frozenset[str], ClosureTable] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,6 +138,30 @@ class SynthesisContext:
                 table.append(tuple(
                     sum(1 << index[x1, z1] for z1 in zs if (x1, z1) in index)
                     for x1 in gsucc.get((x, event), ())))  # distinct bits
+        return table
+
+    def closure_table(self, gamma) -> ClosureTable:
+        """The numbered obligations under the events of gamma, built from
+        the answers rows.  Cached per event set."""
+        gamma = frozenset(gamma)
+        table = self._closure_tables.get(gamma)
+        if table is None:
+            rows = [self.answers(ev) for ev in sorted(gamma)]
+            answer, owns = [], []
+            n = len(self.fixpoint_pairs)
+            answered = [0] * n
+            for i in range(n):
+                mine = []
+                for row in rows:
+                    for mask in row[i]:
+                        bit = 1 << len(answer)
+                        answer.append(mask)
+                        mine.append((bit, mask))
+                        for j in bit_positions(mask):
+                            answered[j] |= bit
+                owns.append(tuple(mine))
+            table = self._closure_tables[gamma] = ClosureTable(
+                tuple(answer), tuple(owns), tuple(answered))
         return table
 
     def minimal_transversals(self, edges: list[int]) -> tuple[int, ...]:
@@ -436,8 +479,9 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
                             % (cap, tid))
                     add(key, tid, p1)
                 edges.add((src, ev, tid))
-    auto = Automaton(frozenset(payloads), ctx.plant.alphabet, frozenset(edges),
-                     init)
+    # ids are rendered from the plant's and spec's valid ids
+    auto = Automaton._of_valid_ids(frozenset(payloads), ctx.plant.alphabet,
+                                   frozenset(edges), init)
     return SupervisorAutomaton(auto, payloads, tag, ctx.guards, notes)
 
 
@@ -478,7 +522,8 @@ def prune_deadlocks(sup: SupervisorAutomaton) -> SupervisorAutomaton:
     for (src, ev, tgt) in a.transitions:
         if tgt not in dead or all(t in dead for t in a.succ[(src, ev)]):
             keep.add((src, ev, tgt))
-    pruned = Automaton(a.states, a.alphabet, frozenset(keep), a.initial)
+    pruned = Automaton._of_valid_ids(a.states, a.alphabet, frozenset(keep),
+                                     a.initial)
     return SupervisorAutomaton(pruned, dict(sup.payloads),
                                "tilde-of-" + sup.construction_tag,
                                sup.guards, sup.notes)

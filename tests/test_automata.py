@@ -10,11 +10,13 @@ from simsup import (Alphabet, Automaton, InputError, bisim_quotient, compose,
                     product_id, reach_via, reachable, split_product_id,
                     split_top_level, successors, validate_event_name,
                     validate_state_id)
+from simsup import automata
 from simsup.automata import is_deadlock
+from simsup.partial import build_partial
 from simsup.randgen import random_pair
-from simsup.synthesis import SynthesisContext, build
+from simsup.synthesis import SynthesisContext, build, prune_deadlocks
 
-from .fixtures import CHAIN_ALPHA, CHAIN_PLANT, chain_sup_a
+from .fixtures import CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, chain_sup_a
 from .oracles import oracle_bisimulation_classes, oracle_product
 from .pool import uc_instance
 
@@ -96,6 +98,42 @@ def test_automaton_rejects_undeclared_pieces():
             "transition (p,sigma,q) uses undeclared state")):
         Automaton(frozenset({"p"}), CHAIN_ALPHA,
                   frozenset({("p", "sigma", "q")}), frozenset({"p"}))
+
+
+def test_automaton_rejects_bad_state_ids():
+    with pytest.raises(InputError, match=re.escape(
+            "illegal character ' ' in state id 'p q'")):
+        Automaton(frozenset({"p q"}), CHAIN_ALPHA, frozenset(),
+                  frozenset({"p q"}))
+    with pytest.raises(InputError, match=re.escape(
+            "unbalanced brackets in state id '(r'")):
+        Automaton.build(CHAIN_ALPHA, [("p", "sigma", "(r")], ["p"])
+
+
+def test_derived_automata_validate_no_state_id(monkeypatch):
+    # ids built from valid ids are valid: compose, bisim_quotient and the
+    # builds do not check them again, while a direct Automaton(...) does
+    plant, spec, _ = uc_instance(68)
+    checked = []
+    real = automata.validate_state_id
+
+    def counting(name):
+        checked.append(name)
+        return real(name)
+
+    monkeypatch.setattr(automata, "validate_state_id", counting)
+    sup = build(SynthesisContext(plant, spec), "takai")
+    derived = [sup.automaton, prune_deadlocks(sup).automaton,
+               build_partial(CHAIN_PLANT, CHAIN_SPEC).automaton,
+               compose(sup.automaton, plant, full=True),
+               bisim_quotient(sup.automaton)]
+    assert checked == []
+    # and each is the Automaton that the checked path makes of its parts
+    for a in derived:
+        again = Automaton(a.states, a.alphabet, a.transitions, a.initial)
+        assert again == a and hash(again) == hash(a)
+        assert sorted(checked) == sorted(a.states)
+        checked.clear()
 
 
 def test_successors_sorted_and_strict():

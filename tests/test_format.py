@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsup import (Guards, InputError, ParseError, autfile, automaton_digest,
-                    format_automaton, parse_automaton, parse_pairs,
-                    render_pairs, sidecar_payload)
+from simsup import (Guards, InputError, ParseError, autfile, automata,
+                    automaton_digest, format_automaton, parse_automaton,
+                    parse_pairs, render_pairs, sidecar_payload)
 from simsup.partial import build_partial
 from simsup.randgen import random_pair
 from simsup.synthesis import SynthesisContext, build
@@ -63,6 +63,8 @@ def test_round_trip_random_automata(seed):
     ("events: a:uc:o\ninitial: q\ntrans: q -b-> q\n", 3),
     ("events: a:uc:o\ninitial: q\ntrans: q a q\n", 3),
     ("events: a:uc:o\nwhatever: q\n", 2),
+    ("events: a:uc:o\ninitial: q\nstates: q, a b\n", 3),  # bad state id
+    ("events: a:uc:o\n\ninitial: {q\n", 3),
     ("events: a:uc:o\ntrans: q -a-> q\n", 0),          # no initial line at all
 ])
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -94,7 +96,9 @@ def test_each_state_id_is_validated_once(monkeypatch):
         seen.append(name)
         return name
 
+    # the parser checks each id; the Automaton it makes does not again
     monkeypatch.setattr(autfile, "validate_state_id", counting)
+    monkeypatch.setattr(automata, "validate_state_id", counting)
     parse_automaton(GOOD + "states: x0, x1\ntrans: x0 -c-> x1\n")
     assert sorted(seen) == ["x0", "x1"]
 

@@ -1,6 +1,7 @@
 """Partial observation: masks, closures, triple validation, construction."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -118,10 +119,13 @@ def _closures_or_guard(fn, w1, gamma, ctx):
 @pytest.mark.parametrize("seed,nx,nz", [
     (13, 9, 9), (29, 8, 8), (43, 7, 9), (59, 6, 6),
     (54, 9, 6),  # trips the closure cap
-    (55, 10, 7)])  # trips the cover cap
+    (55, 10, 7),  # trips the cover cap
+    (41, 6, 9)])  # deep searches, hundreds of masks each
 def test_minimal_u_matches_branching_oracle_on_builds(monkeypatch, seed, nx, nz):
-    # every (w1, gamma) the partial build reaches, guard trips included
+    # every (w1, gamma) the partial build reaches, guard trips included; draw
+    # 41's build runs to 1000 states, 840 calls, not to its 3.5 s default
     plant, spec = partial_draw(seed, nx, nz)
+    guards = Guards(max_states=1000) if seed == 41 else Guards()
     assert plant.alphabet.unobservable
     real = partial.minimal_u
     outcomes = []
@@ -137,10 +141,56 @@ def test_minimal_u_matches_branching_oracle_on_builds(monkeypatch, seed, nx, nz)
 
     monkeypatch.setattr(partial, "minimal_u", checked)
     try:
-        build_partial(plant, spec, Guards())
+        build_partial(plant, spec, guards)
     except ExplosionGuardError:
         pass
     assert outcomes
+
+
+def _least_finishing_cap(w1, gamma, plant, spec, limit):
+    """The least closure cap at which the oracle's search from w1 finishes,
+    or None when it needs more than limit."""
+    def finishes(cap):
+        ctx = SynthesisContext(plant, spec, Guards(max_covers=cap))
+        return not isinstance(_closures_or_guard(
+            oracle_minimal_u_by_branching, w1, gamma, ctx), tuple)
+
+    if not finishes(limit):
+        return None
+    lo, hi = 0, limit  # the search trips at lo and finishes at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if finishes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("seed,nx,nz", [(29, 8, 8), (59, 6, 6)])
+def test_closure_cap_trips_exactly_past_the_reachable_masks(seed, nx, nz):
+    # the cap trips iff the distinct masks reachable from W1 outnumber it,
+    # whatever order the search visits them in: minimal_u finishes at the
+    # oracle's least finishing cap and trips one below it
+    plant, spec = partial_draw(seed, nx, nz)
+    pairs = sorted(SynthesisContext(plant, spec).w_up)
+    needs = []
+    for gamma in gamma_candidates(plant.alphabet):
+        for pair in pairs:
+            w1 = frozenset({pair})
+            need = _least_finishing_cap(w1, gamma, plant, spec, 128)
+            if need is None or need < 2:
+                continue
+            needs.append(need)
+            ctx = SynthesisContext(plant, spec, Guards(max_covers=need))
+            assert minimal_u(w1, gamma, ctx) == \
+                oracle_minimal_u_by_branching(w1, gamma, ctx)
+            ctx = SynthesisContext(plant, spec, Guards(max_covers=need - 1))
+            with pytest.raises(ExplosionGuardError, match=re.escape(
+                    "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
+                    % (need - 1, render_pairs(w1), ",".join(sorted(gamma))))):
+                minimal_u(w1, gamma, ctx)
+    assert len(needs) >= 20 and max(needs) >= 40
 
 
 @settings(max_examples=60, deadline=None)
