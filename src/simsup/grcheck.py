@@ -14,12 +14,14 @@ lexicographically least witness per offence, in fixed clause order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .automata import Automaton, reachable
 from .errors import InputError
 from .synthesis import (SupervisorAutomaton, SynthesisContext, _admits,
-                        _edges, clause_a, clause_b, initial_power_states,
-                        minimal_covers, render_pairs)
+                        _edges, _fixpoint_mask, clause_a, clause_b,
+                        initial_power_states, minimal_covers, render_pairs)
 
 CLAUSE_ORDER = ("state", "istate", "6-a", "6-b", "sistate", "6-c")
 
@@ -84,9 +86,10 @@ def _payloads(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton) -> di
 
 def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
         ctx: SynthesisContext | None):
-    """The gr clauses, with what they derive: (ctx, payloads, live states,
-    report).  One walk over the live (state, event) pairs judges 6-a where
-    the state has no edge under the event and 6-b where it has some."""
+    """The gr clauses, with what they derive: (ctx, payloads, their pair
+    masks, live states, report).  One walk over the live (state, event)
+    pairs judges 6-a where the state has no edge under the event and 6-b,
+    on masks, where it has some."""
     ctx = _context_for(sup, plant, spec, ctx)
     payloads = _payloads(sup, plant, spec)
     auto = sup.automaton
@@ -98,12 +101,12 @@ def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
         warnings.append("%d unreachable state(s) ignored by reachable-state clauses"
                         % hidden)
 
-    valid = {}  # state id -> payload lies inside the fixpoint
+    masks = {}  # state id -> payload mask, None when it leaves the fixpoint
     for sid in auto.sorted_states:
-        outside = sorted(payloads[sid] - ctx.w_up)
-        valid[sid] = not outside
-        if outside:
-            failures.append(ClauseFailure("state", (sid, outside[0])))
+        masks[sid] = _fixpoint_mask(payloads[sid], ctx)
+        if masks[sid] is None:
+            failures.append(ClauseFailure(
+                "state", (sid, min(payloads[sid] - ctx.w_up))))
 
     x0s = sorted(plant.initial)
     z0s = frozenset(spec.initial)
@@ -121,35 +124,36 @@ def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
 
     missing, stray = [], []  # 6-a and 6-b failures
     for sid in sorted(live):
-        if not valid[sid]:
+        if masks[sid] is None:
             continue
         w = payloads[sid]
         for ev in auto.alphabet.events:
             targets = auto.succ.get((sid, ev))
             if targets:
                 edges = _edges(w, ev, ctx)
+                pool = reduce(or_, edges, 0)
                 stray += [ClauseFailure("6-b", (sid, ev, tgt)) for tgt in targets
-                          if not _admits(edges, payloads[tgt], ctx)]
+                          if not _admits(edges, pool, masks[tgt])]
             elif clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
                 missing.append(ClauseFailure("6-a", (sid, ev)))
     failures += missing + stray
 
     verdict = "not-gr" if failures else "gr-unsaturated"
-    return ctx, payloads, live, GrReport(verdict, failures, warnings)
+    return ctx, payloads, masks, live, GrReport(verdict, failures, warnings)
 
 
 def check_gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
              ctx: SynthesisContext | None = None) -> GrReport:
     """Check the supervisor-automaton clauses; verdict 'not-gr' on any
     failure, else 'gr-unsaturated' (the strongest claim this check makes)."""
-    return _gr(sup, plant, spec, ctx)[3]
+    return _gr(sup, plant, spec, ctx)[4]
 
 
 def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                     ctx: SynthesisContext | None = None) -> GrReport:
     """check_gr plus the saturation clauses.  Verdict 'saturated' iff nothing
     fails; gr failures short-circuit the saturation clauses."""
-    ctx, payloads, live, report = _gr(sup, plant, spec, ctx)
+    ctx, payloads, masks, live, report = _gr(sup, plant, spec, ctx)
     if not report.ok:
         return report
     auto = sup.automaton
@@ -168,7 +172,7 @@ def check_saturated(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
             targets = auto.succ.get((sid, ev))
             if not targets:
                 continue
-            target_masks = [ctx.mask(payloads[t]) for t in targets]
+            target_masks = [masks[t] for t in targets]
             for cover in minimal_covers(w, ev, ctx):
                 if not any(t & cover == t for t in target_masks):
                     failures.append(ClauseFailure(

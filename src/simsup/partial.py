@@ -56,15 +56,26 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     """Minimal supersets of w1 within the fixpoint closed under gamma-labeled
     obligations; empty when no closure exists inside the fixpoint.
 
-    Branches over the answers to the least unmet obligation, closing each
-    branch to a fixpoint, then antichain-reduces the closures.  Works over
-    pair bitmasks; the cap bounds the distinct pair sets the search reaches
-    from w1, closed or not.
+    A closed w1 is returned as itself, and a w1 holding a pair outside
+    ctx.closable(gamma) has no closure.  Otherwise the search branches over
+    the closable answers to the least unmet obligation, closing each branch
+    to a fixpoint, then antichain-reduces the closures.  Works over pair
+    bitmasks; the cap bounds the distinct pair sets the search reaches from
+    w1 over closable pairs, closed or not.
     """
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
     root = ctx.mask(w1)
     answer, owns, answered = ctx.closure_table(gamma)
+    unmet = sum(bit for i in bit_positions(root)
+                for bit, mask in owns[i] if not root & mask)
+    if not unmet:
+        # a closed core is the only minimum, and is returned as itself: a
+        # build holds every triple's core and closure
+        return [w1]
+    closable = ctx.closable(gamma)
+    if root & ~closable:
+        return []
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
@@ -72,9 +83,10 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     # (mask, its unmet obligations as a mask of ctx.closure_table numbers):
     # adding a pair never un-answers an obligation, so a child's unmet set is
     # its parent's less what the added pair answers, plus what that pair owns
-    # and the child leaves unanswered
-    stack = [(root, sum(bit for i in bit_positions(root)
-                        for bit, mask in owns[i] if not root & mask))]
+    # and the child leaves unanswered.  Masks only grow down a branch, so
+    # they stay inside closable, where every obligation keeps an answer and
+    # every branch ends closed
+    stack = [(root, unmet)]
     while stack:
         w, unmet = stack.pop()
         if w in seen:
@@ -90,8 +102,8 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             continue
         # the lowest bit is the least unmet obligation; ascending bits of its
         # answers are the spec successors in order, since x' is fixed and the
-        # pairs are sorted; with none, the branch dies
-        todo = answer[(unmet & -unmet).bit_length() - 1]
+        # pairs are sorted
+        todo = answer[(unmet & -unmet).bit_length() - 1] & closable
         while todo:
             b = todo & -todo
             todo ^= b
@@ -102,10 +114,6 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
                 if not child & mask:
                     left |= bit
             stack.append((child, left))
-    if closed == [root]:
-        # a closed core is the only minimum, and is returned as itself: a
-        # build holds every triple's core and closure
-        return [w1]
     return ctx.power_states(_minimal_masks(closed))
 
 

@@ -34,7 +34,8 @@ class Guards:
     """Explosion caps: reachable supervisor states, and an enumeration cap
     that bounds the choice functions behind each set of minimal covers, the
     covers variant1 yields per (PowerState, event), the distinct pair sets
-    minimal_u reaches from W1 and the initial combinations."""
+    minimal_u reaches from W1 over closable pairs and the initial
+    combinations."""
 
     max_states: int = 10_000
     max_covers: int = 4_096
@@ -89,7 +90,8 @@ class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, and tables derived
     from them: the greatest matching fixpoint (computed once, cached) with
     its pairs numbered once, their one-step obligations per event and per
-    event set, and the minimal transversals of each obligation family met."""
+    event set, the pairs a closure under each event set can hold, and the
+    minimal transversals of each obligation family met."""
 
     plant: Automaton
     spec: Automaton
@@ -99,6 +101,8 @@ class SynthesisContext:
     _transversals: dict[frozenset[int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _closure_tables: dict[frozenset[str], ClosureTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _closable: dict[frozenset[str], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,6 +168,33 @@ class SynthesisContext:
                 tuple(answer), tuple(owns), tuple(answered))
         return table
 
+    def closable(self, gamma) -> int:
+        """The pair mask of the greatest subset of the fixpoint in which each
+        gamma obligation of every pair has an answer inside the subset.  A
+        union of gamma-closed sets is gamma-closed, so every one of them lies
+        inside it, and a pair outside it lies in none.  Found by dropping, to
+        a fixpoint, the pairs with an obligation answered only by dropped
+        pairs; cached per event set, and computed only when asked, as most
+        closure searches start closed."""
+        gamma = frozenset(gamma)
+        live = self._closable.get(gamma)
+        if live is None:
+            answer, owns, answered = self.closure_table(gamma)
+            # obligations are numbered by pair ascending, so owner[k] is the
+            # pair of the k-th; dropping pair i can leave without an answer
+            # only the obligations i answered
+            owner = [i for i, mine in enumerate(owns) for _ in mine]
+            live = (1 << len(owns)) - 1
+            dead = [owner[k] for k, mask in enumerate(answer) if not mask]
+            while dead:
+                i = dead.pop()
+                if live >> i & 1:
+                    live ^= 1 << i
+                    dead += [owner[k] for k in bit_positions(answered[i])
+                             if not answer[k] & live]
+            self._closable[gamma] = live
+        return live
+
     def minimal_transversals(self, edges: list[int]) -> tuple[int, ...]:
         """The minimal transversals of edges in canonical order, cached per
         obligation family: the set of the edges, which is all MMCS reads."""
@@ -224,18 +255,25 @@ def _edges(w: PowerState, event: str, ctx: SynthesisContext) -> list[int]:
     return [mask for i in _indices(w, ctx) for mask in table[i]]
 
 
-def _admits(edges: list[int], target, ctx: SynthesisContext) -> bool:
-    """Whether target is a cover of the (W, event) whose obligation masks are
-    edges: its pairs lie inside the fixpoint and inside the union of the
-    edges, and it hits every edge."""
+def _fixpoint_mask(w, ctx: SynthesisContext) -> int | None:
+    """The pair mask of w, or None when a pair of w lies outside the
+    fixpoint."""
     index = ctx.pair_index
     mask = 0
-    for p in target:
+    for p in w:
         j = index.get(p)
         if j is None:
-            return False
+            return None
         mask |= 1 << j
-    return not mask & ~reduce(or_, edges, 0) and all(e & mask for e in edges)
+    return mask
+
+
+def _admits(edges: list[int], pool: int, target: int | None) -> bool:
+    """Whether the pair mask target (None: it leaves the fixpoint) is a cover
+    of the (W, event) whose obligation masks are edges, with union pool: it
+    lies inside the pool and hits every edge."""
+    return (target is not None and not target & ~pool
+            and all(e & target for e in edges))
 
 
 def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamily:
@@ -316,7 +354,8 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
 def in_n_set(w: PowerState, event: str, target: PowerState,
              ctx: SynthesisContext) -> bool:
     """Membership test for the cover family, without enumeration."""
-    return _admits(_edges(w, event, ctx), target, ctx)
+    edges = _edges(w, event, ctx)
+    return _admits(edges, reduce(or_, edges, 0), _fixpoint_mask(target, ctx))
 
 
 def _minimal_masks(masks) -> list[int]:

@@ -179,36 +179,72 @@ def oracle_initial_power_states(g: Automaton, r: Automaton, w_up) -> set:
             if {x for (x, _) in combo} == set(g.initial)}
 
 
+def oracle_unanswered(gamma, g: Automaton, r: Automaton):
+    """The function taking a pair set s to its pairs (x,z) that own a gamma
+    obligation x -ev-> x1 which no pair (x1,z1) of s with z -ev-> z1
+    answers; s is gamma-closed iff it gives none."""
+    dg, dr = delta(g), delta(r)
+
+    def unanswered(s) -> set:
+        return {(x, z) for (x, z) in s for ev in gamma
+                for x1 in dg.get((x, ev), ())
+                if not any((x1, z1) in s for z1 in dr.get((z, ev), ()))}
+
+    return unanswered
+
+
+def oracle_closable(gamma, g: Automaton, r: Automaton, w_up) -> frozenset:
+    """The greatest subset of w_up in which every pair's gamma obligations
+    are answered, by dropping the unanswered pairs until none is left: a
+    closed subset of the current set keeps its pairs answered, so it is
+    never cut."""
+    unanswered = oracle_unanswered(gamma, g, r)
+    live = frozenset(w_up)
+    while True:
+        bad = unanswered(live)
+        if not bad:
+            return live
+        live -= bad
+
+
 def oracle_minimal_u(w1, gamma, g: Automaton, r: Automaton, w_up) -> list:
     """Minimal gamma-closed supersets of w1 inside w_up, by scanning every
     superset.  2^|w_up - w1| subsets; keep w_up tiny."""
-    dg, dr = delta(g), delta(r)
+    unanswered = oracle_unanswered(gamma, g, r)
     w1 = frozenset(w1)
-
-    def closed(s):
-        for (x, z) in s:
-            for ev in gamma:
-                for x1 in dg.get((x, ev), ()):
-                    if not any((x1, z1) in s for z1 in dr.get((z, ev), ())):
-                        return False
-        return True
-
     rest = sorted(set(w_up) - w1)
     closures = []
     for k in range(len(rest) + 1):
         for combo in itertools.combinations(rest, k):
             s = w1 | set(combo)
-            if closed(s):
+            if not unanswered(s):
                 closures.append(frozenset(s))
     return oracle_minimal(closures)
 
 
 def oracle_minimal_u_by_branching(w1, gamma, ctx) -> list:
     """Minimal gamma-closed supersets of w1 inside the fixpoint, by the
-    string-pair branching search: depth-first over the answers to the least
-    unmet obligation (sorted pairs, sorted events, plant successors), each
-    branch closed to a fixpoint, then antichain-reduced and sorted.  Raises
-    the same guard as minimal_u once it explores more than the cover cap."""
+    string-pair branching search over closable pairs (oracle_closable): a
+    w1 holding a pair outside them has no closure, and a search from any
+    other w1 adds only closable pairs.  Raises the same guard as minimal_u
+    once it explores more than the cover cap."""
+    live = oracle_closable(gamma, ctx.plant, ctx.spec, ctx.w_up)
+    if not frozenset(w1) <= live:
+        return []
+    return _branching(w1, gamma, ctx, live)
+
+
+def oracle_minimal_u_unpruned(w1, gamma, ctx) -> list:
+    """oracle_minimal_u_by_branching over every fixpoint pair: the search
+    also walks the masks below which no closure lies.  It returns the same
+    closures whenever it finishes, but trips the cap sooner."""
+    return _branching(w1, gamma, ctx, ctx.w_up)
+
+
+def _branching(w1, gamma, ctx, pool) -> list:
+    """Depth-first over the answers in pool to the least unmet obligation
+    (sorted pairs, sorted events, plant successors), each branch closed to a
+    fixpoint, then antichain-reduced and sorted."""
     gsucc, rsucc = ctx.plant.succ, ctx.spec.succ
     w1, gamma = frozenset(w1), frozenset(gamma)
 
@@ -240,7 +276,7 @@ def oracle_minimal_u_by_branching(w1, gamma, ctx) -> list:
             continue
         (z, ev, x1) = ob
         for z1 in rsucc.get((z, ev), ()):
-            if (x1, z1) in ctx.w_up:
+            if (x1, z1) in pool:
                 stack.append(w | {(x1, z1)})
     minima = []
     for cand in sorted(closed, key=lambda s: (len(s), sorted(s))):

@@ -1,5 +1,6 @@
 """Partial observation: masks, closures, triple validation, construction."""
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -19,7 +20,8 @@ from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
 from .oracles import (all_supervisors, oracle_in_sp, oracle_loop_below,
-                      oracle_matchable, oracle_minimal_u_by_branching)
+                      oracle_matchable, oracle_minimal_u_by_branching,
+                      oracle_minimal_u_unpruned, oracle_unanswered)
 from .pool import uc_instance
 
 # chain fixture with sigma unobservable
@@ -198,15 +200,63 @@ def test_closure_cap_trips_exactly_past_the_reachable_masks(seed, nx, nz):
        st.integers(min_value=1, max_value=64),
        st.integers(min_value=0, max_value=63))
 def test_minimal_u_guard_trip_points(seed, cap, pick):
-    # a cap of at most 64 bounds both searches to 65 explored closures
+    # a cap of at most 64 bounds every search to 65 explored closures.  The
+    # search over closable pairs reaches a subset of the masks the search
+    # over every fixpoint pair reaches: where the latter finishes, both
+    # return the same closures, and where the former trips, so does the
+    # latter, with the same message
     plant, spec = partial_draw(seed, 6 + seed % 3, 6 + seed // 3 % 3)
     assume(plant.alphabet.unobservable)
     ctx = SynthesisContext(plant, spec, Guards(max_covers=cap))
     pairs = sorted(ctx.w_up)
     w1 = frozenset({pairs[pick % len(pairs)], pairs[pick * 7 % len(pairs)]})
     for gamma in gamma_candidates(plant.alphabet):
-        assert _closures_or_guard(minimal_u, w1, gamma, ctx) == \
-            _closures_or_guard(oracle_minimal_u_by_branching, w1, gamma, ctx)
+        got = _closures_or_guard(minimal_u, w1, gamma, ctx)
+        assert got == _closures_or_guard(oracle_minimal_u_by_branching,
+                                         w1, gamma, ctx)
+        old = _closures_or_guard(oracle_minimal_u_unpruned, w1, gamma, ctx)
+        if isinstance(got, tuple) or not isinstance(old, tuple):
+            assert got == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=3, max_value=5),
+       st.integers(min_value=3, max_value=5))
+def test_closable_is_the_union_of_the_closed_sets(seed, nx, nz):
+    plant, spec = partial_draw(seed, nx, nz)
+    assume(plant.alphabet.unobservable)
+    ctx = SynthesisContext(plant, spec, Guards(max_covers=1))
+    pairs = sorted(ctx.w_up)
+    assume(len(pairs) <= 12)  # 2^|w_up| subsets per gamma
+    for gamma in gamma_candidates(plant.alphabet):
+        unanswered = oracle_unanswered(gamma, plant, spec)
+        union = set()
+        for k in range(len(pairs) + 1):
+            for combo in itertools.combinations(pairs, k):
+                if not unanswered(frozenset(combo)):
+                    union.update(combo)
+        assert ctx.power_state(ctx.closable(gamma)) == union
+        # a core holding a pair outside every closed set has no closure, and
+        # the search says so before it explores a second mask
+        for pair in sorted(set(pairs) - union):
+            assert minimal_u(frozenset({pair}), gamma, ctx) == []
+
+
+def test_closable_pairs_bound_the_search_from_a_workload_core():
+    # the benchmark's partial draw 39 (10 x 10 states, 92 fixpoint pairs, 72
+    # of them closable under {e1,e2}): from this core the search over every
+    # fixpoint pair walks past 4096 masks, the one over closable pairs
+    # finds 10 closures
+    plant, spec = partial_draw(39, 10, 10)
+    ctx = SynthesisContext(plant, spec)
+    w1, gamma = frozenset({("x3", "z9")}), frozenset({"e1", "e2"})
+    with pytest.raises(ExplosionGuardError, match=re.escape(
+            "closure enumeration cap 4096 exceeded for W1={(x3,z9)}")):
+        oracle_minimal_u_unpruned(w1, gamma, ctx)
+    got = minimal_u(w1, gamma, ctx)
+    assert len(got) == 10
+    assert got == oracle_minimal_u_by_branching(w1, gamma, ctx)
 
 
 # --- triple validation -------------------------------------------------------
