@@ -11,8 +11,8 @@ edge for edge, onto the takai construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
@@ -23,21 +23,31 @@ from .synthesis import (Guards, PowerState, SupervisorAutomaton,
                         minimal_covers, render_pairs)
 
 
+def _render_gamma(gamma) -> str:
+    return "{%s}" % ",".join(sorted(gamma))
+
+
+def _triple_id(w1_id: str, gamma_id: str, w2_id: str) -> str:
+    return "<%s|%s|%s>" % (w1_id, gamma_id, w2_id)
+
+
 @dataclass(frozen=True)
 class TripleState:
     w1: PowerState
     gamma_uo: frozenset[str]
     w2: PowerState
-    # rendered once, as a build both sorts and names triples by it
-    tid: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w1", frozenset(self.w1))
         object.__setattr__(self, "gamma_uo", frozenset(self.gamma_uo))
         object.__setattr__(self, "w2", frozenset(self.w2))
-        gamma = "{%s}" % ",".join(sorted(self.gamma_uo))
-        object.__setattr__(self, "tid", "<%s|%s|%s>" % (
-            render_pairs(self.w1), gamma, render_pairs(self.w2)))
+
+    @cached_property
+    def tid(self) -> str:
+        """The state id <w1|gamma|w2>, rendered when first asked for: a
+        build names the triples it keeps itself."""
+        return _triple_id(render_pairs(self.w1), _render_gamma(self.gamma_uo),
+                          render_pairs(self.w2))
 
 
 def gamma_candidates(alphabet: Alphabet) -> list[frozenset[str]]:
@@ -149,14 +159,12 @@ def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
                  and clause_b(y.w2, ev, ctx))
 
 
-def _completions(w1: PowerState, gammas, ctx: SynthesisContext) -> list[TripleState]:
-    """Every admissible (gamma, minimal closure) completion of a core w1."""
-    out = []
-    for gamma in gammas:
-        for w2 in minimal_u(w1, gamma, ctx):
-            if _gamma_controllables_enabled(w2, gamma, ctx):
-                out.append(TripleState(w1, gamma, w2))
-    return out
+def _completions(w1: PowerState, gammas, ctx: SynthesisContext):
+    """Every admissible completion of a core w1, as (index in gammas,
+    minimal closure) pairs."""
+    return [(g, w2) for g, gamma in enumerate(gammas)
+            for w2 in minimal_u(w1, gamma, ctx)
+            if _gamma_controllables_enabled(w2, gamma, ctx)]
 
 
 def build_partial(plant: Automaton, spec: Automaton,
@@ -165,37 +173,64 @@ def build_partial(plant: Automaton, spec: Automaton,
 
     Initial states complete each initial PowerState; unobservable masked
     events self-loop; each observable step goes to every completion of every
-    minimal cover of (w2, event).
+    minimal cover of (w2, event).  The walk keys a triple by (core mask,
+    index in gamma_candidates, closure mask); the triples it keeps are made
+    and named once it is over, each distinct pair mask rendered once.
     """
     ctx = SynthesisContext(plant, spec, guards)
-    gammas = gamma_candidates(plant.alphabet)
+    alphabet = plant.alphabet
+    gammas = gamma_candidates(alphabet)
+    masked = [sorted(gamma) for gamma in gammas]
+    gamma_ids = [_render_gamma(gamma) for gamma in gammas]
+    # sigma_y on closure masks: clause_a of an observable event holds where
+    # the closure meets the pairs whose plant state enables it
+    gsucc = plant.succ
+    observed = [(ev, sum(1 << i for i, (x, _) in enumerate(ctx.fixpoint_pairs)
+                         if gsucc.get((x, ev))))
+                for ev in alphabet.events if ev in alphabet.observable]
     # each core is completed once, keyed by its pair mask; since a triple
     # holds its core, a core met again only adds edges
-    completed: dict[int, list[TripleState]] = {}
+    completed: dict[int, list[tuple[int, int, int]]] = {}
 
     def completions(core):
-        ys = completed.get(core)
-        if ys is None:
-            ys = completed[core] = _completions(ctx.power_state(core), gammas,
-                                                ctx)
-        return ys
+        keys = completed.get(core)
+        if keys is None:
+            keys = completed[core] = [
+                (core, g, ctx.mask(w2))
+                for g, w2 in _completions(ctx.power_state(core), gammas, ctx)]
+        return keys
 
-    def step(y):
-        for ev in sorted(y.gamma_uo):
-            yield ev, (y,)
-        for ev in sigma_y(y, ctx):
-            for core in minimal_covers(y.w2, ev, ctx):
-                yield ev, completions(core)
+    def step(key):
+        _, g, closure = key
+        for ev in masked[g]:
+            yield ev, (key,)
+        w2 = ctx.power_state(closure)
+        for ev, enabled in observed:
+            if closure & enabled and clause_b(w2, ev, ctx):
+                for core in minimal_covers(w2, ev, ctx):
+                    yield ev, completions(core)
 
-    inits = [y for w01 in initial_power_states(ctx)
-             for y in completions(ctx.mask(w01))]
+    @cache
+    def render(mask):
+        return render_pairs(ctx.power_state(mask))
+
+    def tid(key):
+        core, g, closure = key
+        return _triple_id(render(core), gamma_ids[g], render(closure))
+
+    def state(key):
+        core, g, closure = key
+        return tid(key), TripleState(ctx.power_state(core), gammas[g],
+                                     ctx.power_state(closure))
+
+    inits = [key for w01 in initial_power_states(ctx)
+             for key in completions(ctx.mask(w01))]
     notes = ()
-    if plant.alphabet.unobservable:
+    if alphabet.unobservable:
         notes = ("successor observation masks are not pinned by the step rule; "
                  "every admissible (gamma, closure) completion is materialized "
                  "as a distinct state",)
-    return _explore(ctx, sorted(inits, key=attrgetter("tid")), step,
-                    lambda y: (y.tid, y), "partial", notes)
+    return _explore(ctx, sorted(inits, key=tid), step, state, "partial", notes)
 
 
 def is_admissible_partial(s: Automaton, g: Automaton):

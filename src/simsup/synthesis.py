@@ -8,14 +8,13 @@ PowerStates are covers: subsets of the one-step successor pairs answering
 every obligation.  The classic construction (tag "takai") uses the minimal
 covers, enumerated directly as the minimal transversals of the obligations'
 allowed sets; variant1 uses every cover.  Both builds know a PowerState by
-its pair mask (bit i for the i-th fixpoint pair) and turn it into a frozenset
-once, when it is first reached.
+its pair mask (bit i for the i-th fixpoint pair) while they walk, and name
+the states they keep once the walk is over.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -90,8 +89,9 @@ class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, and tables derived
     from them: the greatest matching fixpoint (computed once, cached) with
     its pairs numbered once, their one-step obligations per event and per
-    event set, the pairs a closure under each event set can hold, and the
-    minimal transversals of each obligation family met."""
+    event set, the pairs a closure under each event set can hold, the
+    minimal transversals of each obligation family met, and the PowerState
+    of each pair mask asked for."""
 
     plant: Automaton
     spec: Automaton
@@ -103,6 +103,10 @@ class SynthesisContext:
     _closure_tables: dict[frozenset[str], ClosureTable] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _closable: dict[frozenset[str], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _power_states: dict[int, PowerState] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _masks: dict[PowerState, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -206,14 +210,22 @@ class SynthesisContext:
         return out
 
     def mask(self, w) -> int:
-        """The pair mask of a PowerState; raises InputError on a pair
-        outside the fixpoint."""
-        return sum(1 << i for i in _indices(w, self))
+        """The pair mask of a PowerState, looked up when power_state made
+        it; raises InputError on a pair outside the fixpoint."""
+        mask = self._masks.get(w)
+        if mask is None:
+            mask = sum(1 << i for i in _indices(w, self))
+        return mask
 
     def power_state(self, mask: int) -> PowerState:
-        """The PowerState of a pair mask."""
-        pairs = self.fixpoint_pairs
-        return frozenset([pairs[i] for i in bit_positions(mask)])
+        """The PowerState of a pair mask, made once per mask and shared."""
+        w = self._power_states.get(mask)
+        if w is None:
+            pairs = self.fixpoint_pairs
+            w = self._power_states[mask] = frozenset(
+                [pairs[i] for i in bit_positions(mask)])
+            self._masks[w] = mask
+        return w
 
     def power_states(self, masks) -> list[PowerState]:
         """The PowerStates of pair masks, in canonical order: masks sort by
@@ -484,43 +496,40 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
              notes: tuple[str, ...] = ()) -> SupervisorAutomaton:
     """Breadth-first construction of a supervisor from its initial keys.
 
-    A state is known by a hashable key; state(key) makes its id and payload,
-    once, when the key is first reached.  step(p) yields (event, target
-    keys) for each edge bundle leaving the state of payload p.  The initial
-    states are all kept; reaching any other new state when the supervisor
-    already holds max_states trips the state cap.
+    The walk knows a state by a hashable key: step(key) yields (event,
+    target keys) for each edge bundle leaving it.  state(key) makes the id
+    and payload of a state once the walk is over, once per state kept.  The
+    initial states are all kept; reaching any other new state when the
+    supervisor already holds max_states trips the state cap, and only that
+    state is named before the walk ends, for the message.
     """
-    ids = {}
-    payloads = {}
-    queue = deque()
-
-    def add(key, sid, p):
-        ids[key] = sid
-        payloads[sid] = p
-        queue.append((sid, p))
-
-    for key in initial:
-        if key not in ids:
-            add(key, *state(key))
-    init = frozenset(payloads)
+    keys = list(dict.fromkeys(initial))
+    index = {key: i for i, key in enumerate(keys)}
+    n_init = len(keys)
     cap = ctx.guards.max_states
     edges = set()
-    while queue:
-        src, p = queue.popleft()
-        for ev, targets in step(p):
-            for key in targets:
-                tid = ids.get(key)
-                if tid is None:
-                    tid, p1 = state(key)
-                    if len(payloads) >= cap:
+    for src, key in enumerate(keys):  # keys grows as the walk reaches states
+        for ev, targets in step(key):
+            for target in targets:
+                i = index.get(target)
+                if i is None:
+                    if len(keys) >= cap:
                         raise ExplosionGuardError(
                             "supervisor state cap %d exceeded when reaching %s"
-                            % (cap, tid))
-                    add(key, tid, p1)
-                edges.add((src, ev, tid))
+                            % (cap, state(target)[0]))
+                    i = index[target] = len(keys)
+                    keys.append(target)
+                edges.add((src, ev, i))
+    ids, payloads = [], {}
+    for key in keys:
+        sid, p = state(key)
+        ids.append(sid)
+        payloads[sid] = p
     # ids are rendered from the plant's and spec's valid ids
-    auto = Automaton._of_valid_ids(frozenset(payloads), ctx.plant.alphabet,
-                                   frozenset(edges), init)
+    auto = Automaton._of_valid_ids(
+        frozenset(ids), ctx.plant.alphabet,
+        frozenset([(ids[a], ev, ids[b]) for (a, ev, b) in edges]),
+        frozenset(ids[:n_init]))
     return SupervisorAutomaton(auto, payloads, tag, ctx.guards, notes)
 
 
@@ -533,7 +542,8 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
 
-    def step(w):
+    def step(mask):
+        w = ctx.power_state(mask)
         for ev in ctx.plant.alphabet.events:
             if clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
                 if variant == "takai":

@@ -10,13 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simsup import (Alphabet, Automaton, ExplosionGuardError, InputError,
-                    automaton_digest, partial)
+                    automaton_digest, partial, synthesis)
 from simsup.partial import (TripleState, build_partial, gamma_candidates,
                             is_admissible_partial, minimal_u, sigma_y,
                             validate_triple)
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
-                              in_sp, initial_power_states, render_pairs)
+                              in_sp, initial_power_states, parse_pairs,
+                              render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
 from .oracles import (all_supervisors, oracle_in_sp, oracle_loop_below,
@@ -428,6 +429,44 @@ def test_build_partial_state_cap_trip_point():
         build_partial(UO_PLANT, UO_SPEC, Guards(max_states=2))
     assert str(exc.value) == ("supervisor state cap 2 exceeded when reaching "
                               "<{(x3,z4)}|{sigma}|{(x3,z4)}>")
+
+
+def test_a_state_cap_trip_renders_only_initial_and_tripping_ids(monkeypatch):
+    # the builds walk keys and name the states they keep once the walk is
+    # over: a build cut by the state cap renders a pair set only for the one
+    # state it trips at and, since the partial build orders its initial
+    # triples by id, for the initial triples; each distinct pair set once
+    rendered = Counter()
+
+    def counted(pairs):
+        rendered[frozenset(pairs)] += 1
+        return render_pairs(pairs)
+
+    monkeypatch.setattr(synthesis, "render_pairs", counted)
+    monkeypatch.setattr(partial, "render_pairs", counted)
+
+    plant, spec, _ = random_uc_pair(12, plant_states=7, spec_states=6,
+                                    n_events=3, density=1.2 / 7,
+                                    spec_density=1.2 / 6)
+    with pytest.raises(ExplosionGuardError) as exc:
+        build(SynthesisContext(plant, spec, Guards(max_states=2000)))
+    tripping = str(exc.value).rpartition(" ")[2]
+    assert rendered == {parse_pairs(tripping): 1}
+
+    rendered.clear()
+    plant, spec = partial_draw(43, 7, 9)
+    with pytest.raises(ExplosionGuardError) as exc:
+        build_partial(plant, spec, Guards(max_states=200))
+    w1, _, w2 = str(exc.value).rpartition(" ")[2][1:-1].split("|")
+    ctx = SynthesisContext(plant, spec, Guards())
+    gammas = gamma_candidates(plant.alphabet)
+    initial = set()
+    for w01 in initial_power_states(ctx):
+        initial.add(w01)
+        initial.update(u for _, u in partial._completions(w01, gammas, ctx))
+    assert len(initial) > 1
+    assert set(rendered) == initial | {parse_pairs(w1), parse_pairs(w2)}
+    assert set(rendered.values()) == {1}
 
 
 def test_admissible_partial_flags_disabled_uncontrollables():

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
-                    SynthesisPreconditionError, check_saturated,
-                    check_simulation, compose, synthesis)
+                    SynthesisPreconditionError, automaton_digest,
+                    check_saturated, check_simulation, compose, synthesis)
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
@@ -459,6 +459,56 @@ def test_build_state_cap_trip_points(ctx_of, variant, n):
         build(ctx_of(max_states=n - 1), variant)
     assert str(exc.value) == ("supervisor state cap %d exceeded when reaching "
                               "{(x3,z4)}" % (n - 1))
+
+
+def covers_draw(seed, nx, nz):
+    """A covers-shaped draw: 3 events, every event observable, density 1.2
+    per state."""
+    plant, spec, _ = random_uc_pair(seed, plant_states=nx, spec_states=nz,
+                                    n_events=3, density=1.2 / nx,
+                                    spec_density=1.2 / nz)
+    return plant, spec
+
+
+# .aut sha256 of the takai and variant1 builds under a state cap of 2000, and
+# the guard messages of those that trip, as computed by the builds that named
+# each state when its key was first reached
+@pytest.mark.parametrize("seed,nx,nz,variant,expected", [
+    (3, 5, 5, "takai",
+     "f6a2103028ae9b38b478f5ad448110b813534096451a50d45c9d7922c819ebeb"),
+    (4, 7, 6, "takai",
+     "17242fbd028c63a85b2439a0d8b195e6dc51679136f5b79690990dd4599f788c"),
+    (4, 7, 6, "variant1",
+     "0331350ada53bd047d8985d55fb234d1825bf61a1771bda84febd1dfd1c4f4ad"),
+    (5, 5, 5, "takai",
+     "7ee17418c7175758b1893bbcc3793e2a54173eaeadb01521e7da6f590b54f55b"),
+    (5, 5, 5, "variant1",
+     "f6b5dd4fddd542503669d76a78954e544f7cb2c5c496574734eae6c49ce47050"),
+    (7, 7, 6, "takai",
+     "42605e6814511fb1581b00e75a930ac19f8c44f1dd6282d3f1076bd32ac7c28f"),
+    (7, 7, 6, "variant1",
+     "435bca4495dbe9bf6d77e9542e074af5fdcf6744dd9ceaba647799fd8556da7b"),
+    (15, 5, 5, "takai",
+     "1444106fcaa306588148dc0ec940d20e029677dfbd603079840788c57017e9d6"),
+    (15, 5, 5, "variant1",
+     "55b80b814e2bc7d4c3e44fcd9678d08899972356fc6527b2e762ebff5d243f2e"),
+    (3, 5, 5, "variant1",
+     "supervisor state cap 2000 exceeded when reaching {(x0,z1),(x0,z4),"
+     "(x2,z0),(x2,z1),(x3,z0),(x3,z1),(x3,z3),(x3,z4)}"),
+    (12, 7, 6, "takai",
+     "supervisor state cap 2000 exceeded when reaching {(x0,z0),(x2,z2),"
+     "(x3,z0),(x3,z5),(x5,z0)}"),
+    (2, 6, 5, "takai",
+     "choice-function enumeration cap 4096 exceeded at ({(x0,z2),(x1,z2),"
+     "(x2,z2)}, e1) with 18 candidate pairs")])
+def test_build_outputs_pinned(seed, nx, nz, variant, expected):
+    plant, spec = covers_draw(seed, nx, nz)
+    ctx = SynthesisContext(plant, spec, Guards(max_states=2000))
+    try:
+        got = automaton_digest(build(ctx, variant).automaton)
+    except ExplosionGuardError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_fork_build_has_two_initials():
