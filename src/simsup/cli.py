@@ -171,9 +171,14 @@ def cmd_verify(args) -> int:
     if payloads is not None:
         user = SupervisorAutomaton(sup_auto, payloads, "user", guards)
         report = check_saturated(user, plant, spec, ctx)
-    takai_loop = verdict_loop(build(ctx, "takai").automaton, plant)
-    below = simulates(loop, takai_loop, "full")
-    above = simulates(takai_loop, loop, "full")
+    if member and report is not None and report.verdict == "saturated":
+        # a saturated (G,R)-automaton in SP is maximally permissive, so its
+        # loop and a takai build's are mutually similar: no build is needed
+        below = above = True
+    else:
+        takai_loop = verdict_loop(build(ctx, "takai").automaton, plant)
+        below = simulates(loop, takai_loop, "full")
+        above = simulates(takai_loop, loop, "full")
 
     # every verdict is in hand before the first line, so an input error or a
     # guard trip above leaves stdout empty

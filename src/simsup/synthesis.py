@@ -205,8 +205,12 @@ class SynthesisContext:
         family = frozenset(edges)
         out = self._transversals.get(family)
         if out is None:
-            out = self._transversals[family] = tuple(
-                sorted(_minimal_transversals(edges), key=bit_positions))
+            # an antichain: at the lowest bit where two differ, the mask
+            # holding it sorts first by bit positions, and its reversed
+            # binary digits are the greater string there
+            out = self._transversals[family] = tuple(sorted(
+                _minimal_transversals(edges), key=lambda m: bin(m)[:1:-1],
+                reverse=True))
         return out
 
     def mask(self, w) -> int:
@@ -384,16 +388,40 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     """Minimal transversals (hitting sets) of a family of bitmask edges.
 
     Bits of singleton edges are forced; edges they hit, duplicates and
-    supersets of other edges are dropped.  The rest is enumerated by MMCS
-    (Murakami & Uno, DAM 2014) on an explicit stack, branching on the
-    uncovered edge with the fewest candidates; a branch survives iff every
-    chosen bit keeps a private edge.  Each minimal transversal comes out once.
+    supersets of other edges are dropped.  The rest splits into connected
+    components, two edges connecting when they share a bit; the minimal
+    transversals are the unions of one minimal transversal per component
+    (Eiter & Gottlob 1995).  A one-edge component's are its single bits;
+    only a larger component runs MMCS.  Each comes out once.
     """
     forced = 0
     for e in edges:
         if not e & (e - 1):
             forced |= e
-    family = _minimal_masks({e for e in edges if not e & forced})
+    components: list[tuple[int, list[int]]] = []  # (bits, edges), disjoint
+    for e in _minimal_masks({e for e in edges if not e & forced}):
+        bits, members, apart = e, [e], []
+        for comp in components:
+            if comp[0] & e:
+                bits |= comp[0]
+                members += comp[1]
+            else:
+                apart.append(comp)
+        apart.append((bits, members))
+        components = apart
+    out = [forced]
+    for bits, members in components:
+        part = ([1 << j for j in bit_positions(bits)] if len(members) == 1
+                else _mmcs(members))
+        out = [m | p for m in out for p in part]
+    return out
+
+
+def _mmcs(family: list[int]) -> list[int]:
+    """Minimal transversals of an inclusion-minimal family of bitmask edges
+    by MMCS (Murakami & Uno, DAM 2014) on an explicit stack, branching on
+    the uncovered edge with the fewest candidates; a branch survives iff
+    every chosen bit keeps a private edge.  Each comes out once."""
     out = []
     cand_all = 0
     for e in family:
@@ -402,7 +430,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     while stack:
         chosen, cand, uncovered = stack.pop()
         if not uncovered:
-            out.append(forced | chosen)
+            out.append(chosen)
             continue
         branch = min(uncovered, key=lambda e: (e & cand).bit_count()) & cand
         rest = cand & ~branch

@@ -3,12 +3,14 @@
 import argparse
 import json
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
 from simsup import (Alphabet, Automaton, check_simulation, cli, compose,
                     format_automaton, is_admissible, is_simulation_relation,
-                    load_automaton, to_dot)
+                    load_automaton, synthesis, to_dot)
 from simsup.cli import main, resolve_guards, build_parser
 from simsup.randgen import random_uc_pair
 from simsup.synthesis import disabled_move
@@ -229,18 +231,28 @@ def test_verify_built_supervisor_passes(chain_files, capsys):
     assert "verdict: saturated" in report
 
 
-def test_verify_prints_clause_witnesses_and_notes(chain_files, capsys):
-    # without its c edge the chain supervisor misses a mandatory edge at
-    # {(x2,z3)}, and {(x3,z4)} is left unreachable
+def _chain_supervisor(chain_files, drop=None) -> str:
+    """The path of the chain's takai supervisor file, without the lines
+    holding drop if given."""
     g, r, tmp = chain_files
     out = str(tmp / "sup")
     assert main(["synthesize", g, r, "--out", out]) == 0
+    if drop is None:
+        return out + ".aut"
     text = (tmp / "sup.aut").read_text()
-    (tmp / "no_c.aut").write_text(
+    (tmp / "dropped.aut").write_text(
         "".join(line for line in text.splitlines(keepends=True)
-                if "-c->" not in line))
+                if drop not in line))
+    return str(tmp / "dropped.aut")
+
+
+def test_verify_prints_clause_witnesses_and_notes(chain_files, capsys):
+    # without its c edge the chain supervisor misses a mandatory edge at
+    # {(x2,z3)}, and {(x3,z4)} is left unreachable
+    g, r, _ = chain_files
+    no_c = _chain_supervisor(chain_files, "-c->")
     capsys.readouterr()
-    assert main(["verify", str(tmp / "no_c.aut"), g, r]) == 1
+    assert main(["verify", no_c, g, r]) == 1
     assert capsys.readouterr() == ("\n".join([
         "admissible: yes",
         "in SP (admissible and loop below spec): yes",
@@ -344,14 +356,76 @@ def test_verify_input_error_before_any_verdict(chain_files, capsys):
     (["--max-states", "2"], "supervisor state cap 2 exceeded"),
 ])
 def test_verify_guard_trip_before_any_verdict(chain_files, capsys, cap, message):
-    g, r, tmp = chain_files
-    out = str(tmp / "sup")
-    assert main(["synthesize", g, r, "--out", out]) == 0
+    g, r, _ = chain_files
+    # a saturated supervisor in SP needs no reference build, so the state
+    # cap is met by the chain supervisor without its c edge, which is not
+    sup = _chain_supervisor(chain_files,
+                            "-c->" if cap[0] == "--max-states" else None)
     capsys.readouterr()
-    assert main(["verify", out + ".aut", g, r, *cap]) == 3
+    assert main(["verify", sup, g, r, *cap]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("guard tripped: " + message)
+
+
+def _counted_builds(monkeypatch) -> list:
+    """Record each reference build verify makes."""
+    runs = []
+
+    def counted(ctx, variant="takai"):
+        runs.append(variant)
+        return synthesis.build(ctx, variant)
+
+    monkeypatch.setattr(cli, "build", counted)
+    return runs
+
+
+DEMO_04 = (Path(__file__).resolve().parents[1] / "demos"
+           / "04_unsaturated_below_takai.py")
+
+
+def test_verify_builds_a_reference_only_without_saturation(
+        chain_files, tmp_path, monkeypatch, capsys):
+    g, r, _ = chain_files
+    # the chain's takai supervisor is saturated and in SP; without its c
+    # edge it is not-gr
+    sup = _chain_supervisor(chain_files)
+    no_c = _chain_supervisor(chain_files, "-c->")
+    # demo 04's supervisor is gr-unsaturated, in SP, and strictly below takai
+    demo = runpy.run_path(str(DEMO_04))
+    plant, spec, _ = uc_instance(462)
+    trimmed = demo["without_edge"](
+        synthesis.build(synthesis.SynthesisContext(plant, spec)),
+        demo["DROPPED"])
+    pool = tmp_path / "pool"  # chain_files lies in tmp_path
+    pool.mkdir()
+    (pool / "trimmed.aut").write_text(format_automaton(trimmed.automaton))
+    g462, r462, _ = _pool_files(pool, 462)
+    runs = _counted_builds(monkeypatch)
+    assert main(["verify", sup, g, r]) == 0
+    assert runs == []
+    assert main(["verify", no_c, g, r]) == 1
+    assert runs == ["takai"]
+    capsys.readouterr()
+    assert main(["verify", str(pool / "trimmed.aut"), g462, r462]) == 1
+    assert runs == ["takai"] * 2
+    out = capsys.readouterr().out
+    assert "gr-check verdict: gr-unsaturated" in out
+    assert "in SP (admissible and loop below spec): yes" in out
+    assert "takai loop below this loop (maximality surrogate): no" in out
+
+
+def test_verify_saturated_supervisor_passes_a_cap_the_build_trips(
+        chain_files, capsys):
+    # the fresh takai build trips a state cap of 2 (five states), but a
+    # saturated supervisor in SP is judged without it
+    g, r, _ = chain_files
+    sup = _chain_supervisor(chain_files)
+    capsys.readouterr()
+    assert main(["verify", sup, g, r]) == 0
+    uncapped = capsys.readouterr()
+    assert main(["verify", sup, g, r, "--max-states", "2"]) == 0
+    assert capsys.readouterr() == uncapped
 
 
 def test_verify_alphabet_mismatch(chain_files, capsys):

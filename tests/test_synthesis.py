@@ -11,6 +11,7 @@ from simsup import (ExplosionGuardError, InputError,
                     check_saturated, check_simulation, compose, synthesis)
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
+from simsup.simulation import bit_positions
 from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
                               build, clause_a, clause_b, cover_family,
                               in_n_set, in_sp,
@@ -260,6 +261,39 @@ def test_minimal_transversals_match_brute_force(case):
     n, edges = case
     assert sorted(_minimal_transversals(edges)) == \
         _brute_minimal_transversals(n, edges)
+
+
+@st.composite
+def _split_families(draw):
+    """(n, edges): the union of 2-4 sub-families on disjoint bit ranges of
+    n <= 10 bits in all; each repeats up to two of its edges and adds a
+    superset of each, and the narrow ranges give single-bit edges."""
+    widths = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2,
+                           max_size=4).filter(lambda ws: sum(ws) <= 10))
+    edges, low = [], 0
+    for w in widths:
+        full = (1 << w) - 1
+        part = draw(st.lists(st.integers(min_value=1, max_value=full),
+                             min_size=1, max_size=4))
+        again = draw(st.lists(st.sampled_from(part), max_size=2))
+        part += again + [e | draw(st.integers(min_value=0, max_value=full))
+                         for e in again]
+        edges += [e << low for e in part]
+        low += w
+    return low, draw(st.permutations(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_families())
+def test_minimal_transversals_of_split_families(case):
+    # a family whose edges fall into components: the transversals are
+    # products of the components', and the context's order key sorts them
+    # as their bit positions do
+    n, edges = case
+    brute = _brute_minimal_transversals(n, edges)
+    assert sorted(_minimal_transversals(edges)) == brute
+    assert chain_ctx().minimal_transversals(edges) == \
+        tuple(sorted(brute, key=bit_positions))
 
 
 def _fan(branches: int, answers: int, max_covers: int,
