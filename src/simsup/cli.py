@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", fill=_fill_verify,
         help="verify a supervisor file; exit 0 iff admissible, in SP, "
              "saturated (when state ids parse as pair sets) and mutually "
-             "permissive with a fresh takai build")
+             "permissive with a takai build, made only when the supervisor "
+             "is not both saturated and in SP")
     subs.add_parser("compose", fill=_fill_compose,
                     help="synchronous composition of two automata")
     subs.add_parser("random", fill=_fill_random,

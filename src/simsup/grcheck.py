@@ -20,8 +20,8 @@ from operator import or_
 from .automata import Automaton, reachable
 from .errors import InputError
 from .synthesis import (SupervisorAutomaton, SynthesisContext, _admits,
-                        _edges, _fixpoint_mask, clause_a, clause_b,
-                        initial_power_states, minimal_covers, render_pairs)
+                        _edges, _fixpoint_mask, initial_power_states,
+                        minimal_covers, render_pairs)
 
 CLAUSE_ORDER = ("state", "istate", "6-a", "6-b", "sistate", "6-c")
 
@@ -88,8 +88,9 @@ def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
         ctx: SynthesisContext | None):
     """The gr clauses, with what they derive: (ctx, payloads, their pair
     masks, live states, report).  One walk over the live (state, event)
-    pairs judges 6-a where the state has no edge under the event and 6-b,
-    on masks, where it has some."""
+    pairs judges 6-a, on the payload mask against the event's gates, where
+    the state has no edge under the event, and 6-b, on masks, where it has
+    some."""
     ctx = _context_for(sup, plant, spec, ctx)
     payloads = _payloads(sup, plant, spec)
     auto = sup.automaton
@@ -123,18 +124,19 @@ def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
                 break
 
     missing, stray = [], []  # 6-a and 6-b failures
+    gates = [(ev, *ctx.gates(ev)) for ev in auto.alphabet.events]
     for sid in sorted(live):
-        if masks[sid] is None:
+        mask = masks[sid]
+        if mask is None:
             continue
-        w = payloads[sid]
-        for ev in auto.alphabet.events:
+        for ev, enabling, blocked in gates:
             targets = auto.succ.get((sid, ev))
             if targets:
-                edges = _edges(w, ev, ctx)
+                edges = _edges(payloads[sid], ev, ctx)
                 pool = reduce(or_, edges, 0)
                 stray += [ClauseFailure("6-b", (sid, ev, tgt)) for tgt in targets
                           if not _admits(edges, pool, masks[tgt])]
-            elif clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
+            elif mask & enabling and not mask & blocked:
                 missing.append(ClauseFailure("6-a", (sid, ev)))
     failures += missing + stray
 

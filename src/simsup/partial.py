@@ -127,12 +127,6 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     return ctx.power_states(_minimal_masks(closed))
 
 
-def _gamma_controllables_enabled(w2: PowerState, gamma, ctx: SynthesisContext) -> bool:
-    # masked controllable events must actually occur somewhere in w2
-    return all(clause_a(w2, ev, ctx)
-               for ev in gamma & ctx.plant.alphabet.controllable)
-
-
 def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
     """Names of violated TripleState invariants (empty list when valid)."""
     alphabet = ctx.plant.alphabet
@@ -145,7 +139,9 @@ def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
         bad.append("outside-fixpoint")
     elif y.w2 not in minimal_u(y.w1, y.gamma_uo, ctx):
         bad.append("w2-not-minimal-closure")
-    if not _gamma_controllables_enabled(y.w2, y.gamma_uo, ctx):
+    # masked controllable events must actually occur somewhere in w2
+    if not all(clause_a(y.w2, ev, ctx)
+               for ev in y.gamma_uo & alphabet.controllable):
         bad.append("masked-controllable-disabled")
     return bad
 
@@ -161,10 +157,13 @@ def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
 
 def _completions(w1: PowerState, gammas, ctx: SynthesisContext):
     """Every admissible completion of a core w1, as (index in gammas,
-    minimal closure) pairs."""
+    minimal closure) pairs: each closure meets the enabling gate of every
+    controllable event its gamma masks."""
+    controllable = ctx.plant.alphabet.controllable
     return [(g, w2) for g, gamma in enumerate(gammas)
             for w2 in minimal_u(w1, gamma, ctx)
-            if _gamma_controllables_enabled(w2, gamma, ctx)]
+            if all(ctx.mask(w2) & ctx.gates(ev)[0]
+                   for ev in gamma & controllable)]
 
 
 def build_partial(plant: Automaton, spec: Automaton,
@@ -182,11 +181,8 @@ def build_partial(plant: Automaton, spec: Automaton,
     gammas = gamma_candidates(alphabet)
     masked = [sorted(gamma) for gamma in gammas]
     gamma_ids = [_render_gamma(gamma) for gamma in gammas]
-    # sigma_y on closure masks: clause_a of an observable event holds where
-    # the closure meets the pairs whose plant state enables it
-    gsucc = plant.succ
-    observed = [(ev, sum(1 << i for i, (x, _) in enumerate(ctx.fixpoint_pairs)
-                         if gsucc.get((x, ev))))
+    # sigma_y on closure masks, read off the observable events' gates
+    observed = [(ev, *ctx.gates(ev))
                 for ev in alphabet.events if ev in alphabet.observable]
     # each core is completed once, keyed by its pair mask; since a triple
     # holds its core, a core met again only adds edges
@@ -205,8 +201,8 @@ def build_partial(plant: Automaton, spec: Automaton,
         for ev in masked[g]:
             yield ev, (key,)
         w2 = ctx.power_state(closure)
-        for ev, enabled in observed:
-            if closure & enabled and clause_b(w2, ev, ctx):
+        for ev, enabling, blocked in observed:
+            if closure & enabling and not closure & blocked:
                 for core in minimal_covers(w2, ev, ctx):
                     yield ev, completions(core)
 

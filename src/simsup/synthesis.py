@@ -3,7 +3,9 @@
 A supervisor state is a PowerState: a set of (plant state, spec state) pairs
 drawn from the greatest matching fixpoint.  An event may leave a PowerState
 when some pair enables it (clause_a) and, for controllable events, every
-enabled occurrence can be answered inside the fixpoint (clause_b).  Successor
+enabled occurrence can be answered inside the fixpoint (clause_b).  The
+builds and check_saturated test both at once on a PowerState's pair mask,
+against the event's two gate masks (SynthesisContext.gates).  Successor
 PowerStates are covers: subsets of the one-step successor pairs answering
 every obligation.  The classic construction (tag "takai") uses the minimal
 covers, enumerated directly as the minimal transversals of the obligations'
@@ -88,15 +90,17 @@ class ClosureTable(NamedTuple):
 class SynthesisContext:
     """Shared synthesis state: plant, spec, guard caps, and tables derived
     from them: the greatest matching fixpoint (computed once, cached) with
-    its pairs numbered once, their one-step obligations per event and per
-    event set, the pairs a closure under each event set can hold, the
-    minimal transversals of each obligation family met, and the PowerState
-    of each pair mask asked for."""
+    its pairs numbered once, their one-step obligations and gates per event
+    and their obligations per event set, the pairs a closure under each
+    event set can hold, the minimal transversals of each obligation family
+    met, and the PowerState of each pair mask asked for."""
 
     plant: Automaton
     spec: Automaton
     guards: Guards = Guards()
     _answers: dict[str, list[tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _gates: dict[str, tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _transversals: dict[frozenset[int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -143,10 +147,37 @@ class SynthesisContext:
             table = self._answers[event] = []
             for (x, z) in self.fixpoint_pairs:
                 zs = rsucc.get((z, event), ())
-                table.append(tuple(
-                    sum(1 << index[x1, z1] for z1 in zs if (x1, z1) in index)
-                    for x1 in gsucc.get((x, event), ())))  # distinct bits
+                row = []
+                for x1 in gsucc.get((x, event), ()):
+                    mask = 0
+                    for z1 in zs:
+                        j = index.get((x1, z1))
+                        if j is not None:
+                            mask |= 1 << j
+                    row.append(mask)
+                table.append(tuple(row))
         return table
+
+    def gates(self, event: str) -> tuple[int, int]:
+        """(enabling, blocked): the pair masks of the fixpoint pairs whose
+        plant state enables event (their answers row is nonempty), and, for
+        a controllable event, of those whose answers row holds a 0 mask (an
+        obligation nothing answers); blocked is 0 for an uncontrollable
+        event.  For a pair mask W, clause_a is W & enabling and clause_b is
+        not W & blocked.  Cached per event; only a controllable event's
+        blocked mask reads the answers rows, so an uncontrollable event's
+        gates do not build them."""
+        gate = self._gates.get(event)
+        if gate is None:
+            gsucc = self.plant.succ
+            enabling = sum(1 << i for i, (x, _) in enumerate(self.fixpoint_pairs)
+                           if gsucc.get((x, event)))
+            blocked = 0
+            if event in self.plant.alphabet.controllable:
+                blocked = sum(1 << i for i, row in enumerate(self.answers(event))
+                              if 0 in row)
+            gate = self._gates[event] = (enabling, blocked)
+        return gate
 
     def closure_table(self, gamma) -> ClosureTable:
         """The numbered obligations under the events of gamma, built from
@@ -313,9 +344,10 @@ def clause_a(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
 
 def clause_b(w: PowerState, event: str, ctx: SynthesisContext) -> bool:
     """Uncontrollable events pass outright; controllable ones need every
-    enabled occurrence answered inside the fixpoint."""
+    enabled occurrence answered inside the fixpoint: no pair of W among the
+    event's blocked gate."""
     return event in ctx.plant.alphabet.uncontrollable \
-        or all(_edges(w, event, ctx))
+        or not ctx.mask(w) & ctx.gates(event)[1]
 
 
 def _cover_guard(w: PowerState, event: str, candidates: int, count_kind: str,
@@ -535,7 +567,7 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
     index = {key: i for i, key in enumerate(keys)}
     n_init = len(keys)
     cap = ctx.guards.max_states
-    edges = set()
+    edges = []  # the automaton's frozenset drops any repeat
     for src, key in enumerate(keys):  # keys grows as the walk reaches states
         for ev, targets in step(key):
             for target in targets:
@@ -547,7 +579,7 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
                             % (cap, state(target)[0]))
                     i = index[target] = len(keys)
                     keys.append(target)
-                edges.add((src, ev, i))
+                edges.append((src, ev, i))
     ids, payloads = [], {}
     for key in keys:
         sid, p = state(key)
@@ -565,15 +597,17 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
     """Breadth-first construction of the reachable supervisor.
 
     takai: edges to every minimal cover.  variant1: edges to every cover.
-    States are keyed by pair mask.
+    States are keyed by pair mask, and clauses (a) and (b) are read off the
+    events' gates.
     """
     if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
+    gates = [(ev, *ctx.gates(ev)) for ev in ctx.plant.alphabet.events]
 
     def step(mask):
         w = ctx.power_state(mask)
-        for ev in ctx.plant.alphabet.events:
-            if clause_a(w, ev, ctx) and clause_b(w, ev, ctx):
+        for ev, enabling, blocked in gates:
+            if mask & enabling and not mask & blocked:
                 if variant == "takai":
                     yield ev, minimal_covers(w, ev, ctx)
                 else:

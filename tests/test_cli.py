@@ -722,7 +722,8 @@ positional arguments:
     synthesize          build a supervisor
     verify              verify a supervisor file; exit 0 iff admissible, in
                         SP, saturated (when state ids parse as pair sets) and
-                        mutually permissive with a fresh takai build
+                        mutually permissive with a takai build, made only when
+                        the supervisor is not both saturated and in SP
     compose             synchronous composition of two automata
     random              emit a seeded random plant/spec pair
     export-dot          render an automaton file as DOT

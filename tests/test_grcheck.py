@@ -1,5 +1,7 @@
 """Clause checker: gr clauses, saturation clauses, witnesses, verdicts."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -301,3 +303,54 @@ def test_unsaturated_automaton_below_takai():
     assert more_permissive(s, t, plant) and oracle_loop_below(s, t, plant)
     assert not more_permissive(t, s, plant)
     assert not oracle_loop_below(t, s, plant)
+
+
+# --- pinned reports ----------------------------------------------------------
+
+def _edited(sup, transitions):
+    """sup with its transitions replaced; states and payloads are kept."""
+    a = sup.automaton
+    return SupervisorAutomaton(
+        Automaton(a.states, a.alphabet, frozenset(transitions), a.initial),
+        sup.payloads, "user", sup.guards)
+
+
+def _as_built_and_edited(sup):
+    """sup as built, without its least edge, and with that edge redirected
+    to the least state it does not already reach under its event."""
+    a = sup.automaton
+    edges = sorted(a.transitions)
+    if not edges:
+        return [sup]
+    src, ev, _ = edges[0]
+    out = [sup, _edited(sup, edges[1:])]
+    others = [t for t in a.sorted_states if t not in a.succ[(src, ev)]]
+    if others:
+        out.append(_edited(sup, [(src, ev, others[0])] + edges[1:]))
+    return out
+
+
+# sha256 over the check_gr and check_saturated reports (to_json, one
+# sorted-key JSON line each, in loop order) of the takai and variant1 builds
+# of pool draws 3-62 (draw 2's variant1 build has 3981 states), each as
+# built and as edited by _as_built_and_edited; computed with clauses (a) and
+# (b) tested per PowerState, before check_gr read them off the gate masks
+GR_REPORTS_SHA256 = ("b9f99754203efeb5f81564eb7a7ca5ee"
+                     "567d35b40b89807fe8e6ad0512190220")
+
+
+def test_gr_reports_on_edited_builds_are_pinned():
+    digest = hashlib.sha256()
+    clauses = Counter()
+    for draw in range(3, 63):
+        plant, spec, _ = uc_instance(draw)
+        ctx = SynthesisContext(plant, spec, Guards())
+        for variant in ("takai", "variant1"):
+            for sup in _as_built_and_edited(build(ctx, variant)):
+                for check in (check_gr, check_saturated):
+                    report = check(sup, plant, spec, ctx).to_json()
+                    digest.update(json.dumps(report, sort_keys=True).encode()
+                                  + b"\n")
+                    clauses.update(f["clause"] for f in report["clause_failures"])
+    assert {"6-a", "6-b", "6-c"} <= set(clauses), clauses
+    assert digest.hexdigest() == GR_REPORTS_SHA256

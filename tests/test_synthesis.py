@@ -1,6 +1,7 @@
 """Powerset synthesis: clauses, covers, builds, pruning, SP membership."""
 
 import itertools
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
@@ -218,31 +219,47 @@ def test_minimal_covers_match_choice_oracle_on_builds(monkeypatch, seed, nx,
     assert len(outcomes) >= 25
 
 
+class _ProductContext(SynthesisContext):
+    """A context that takes the whole product X x Z for its fixpoint.  It is
+    no uc-simulation, so an uncontrollable obligation can go unanswered in
+    it, and clause (b)'s uncontrollable escape decides."""
+
+    @cached_property
+    def w_up(self):
+        return frozenset(itertools.product(self.plant.states, self.spec.states))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
        st.floats(min_value=0.05, max_value=0.5), st.data())
 def test_obligation_readers_match_string_oracles(seed, nx, nz, density, data):
-    # cover_family, clause_b and minimal_covers all read the context's
-    # obligation table; each must equal its string-pair oracle for every W
-    # of up to 3 pairs out of (up to) 8 fixpoint pairs, and every event
+    # cover_family, the gates, clause_b and minimal_covers all read the
+    # context's obligation table; each must equal its string-pair oracle for
+    # every W of up to 3 pairs out of (up to) 8 fixpoint pairs, and every
+    # event, over the greatest uc fixpoint and over the whole product
     plant, spec = random_pair(seed, plant_states=nx, spec_states=nz,
                               n_events=3, density=density)
-    ctx = SynthesisContext(plant, spec, Guards(max_covers=16))
-    pool = data.draw(st.permutations(sorted(ctx.w_up)))[:8]
-    for k in range(4):
-        for combo in itertools.combinations(pool, k):
-            w = frozenset(combo)
-            for ev in plant.alphabet.events:
-                fam = cover_family(w, ev, ctx)
-                assert (fam.obligations, fam.candidate_pairs) == \
-                    oracle_cover_family(w, ev, plant, spec, ctx.w_up)
-                assert clause_b(w, ev, ctx) == (
-                    ev in plant.alphabet.uncontrollable
-                    or oracle_matchable(w, ev, plant, spec, ctx.w_up))
-                assert _as_power_states(
-                    _covers_or_guard(minimal_covers, w, ev, ctx), ctx) == \
-                    _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
+    for ctx in (SynthesisContext(plant, spec, Guards(max_covers=16)),
+                _ProductContext(plant, spec, Guards(max_covers=16))):
+        pool = data.draw(st.permutations(sorted(ctx.w_up)))[:8]
+        for k in range(4):
+            for combo in itertools.combinations(pool, k):
+                w = frozenset(combo)
+                mask = ctx.mask(w)
+                for ev in plant.alphabet.events:
+                    fam = cover_family(w, ev, ctx)
+                    assert (fam.obligations, fam.candidate_pairs) == \
+                        oracle_cover_family(w, ev, plant, spec, ctx.w_up)
+                    enabling, blocked = ctx.gates(ev)
+                    assert bool(mask & enabling) == clause_a(w, ev, ctx)
+                    matchable = (ev in plant.alphabet.uncontrollable
+                                 or oracle_matchable(w, ev, plant, spec, ctx.w_up))
+                    assert (not mask & blocked) == clause_b(w, ev, ctx) == \
+                        matchable
+                    assert _as_power_states(
+                        _covers_or_guard(minimal_covers, w, ev, ctx), ctx) == \
+                        _covers_or_guard(oracle_minimal_covers_by_choice, w, ev, ctx)
 
 
 def _brute_minimal_transversals(n, edges):
