@@ -135,9 +135,7 @@ def automaton_digest(a: Automaton) -> str:
     return hashlib.sha256(format_automaton(a).encode("utf-8")).hexdigest()
 
 
-def sidecar_payload(sup, plant: Automaton, spec: Automaton) -> dict:
-    """JSON sidecar for a synthesized supervisor: construction tag, context
-    digests, guard settings, and structured payloads for triple states."""
+def _sidecar_header(sup, plant: Automaton, spec: Automaton) -> dict:
     body = {
         "construction_tag": sup.construction_tag,
         "context": {
@@ -151,21 +149,70 @@ def sidecar_payload(sup, plant: Automaton, spec: Automaton) -> dict:
     }
     if sup.notes:
         body["notes"] = list(sup.notes)
-    payloads = {}
+    return body
+
+
+def _triple_payloads(sup):
+    """(state id, TripleState) for the states with a triple payload, in
+    sorted id order."""
     for state in sup.automaton.sorted_states:
         pay = sup.payloads[state]
         if isinstance(pay, TripleState):
-            payloads[state] = {
-                "w1": [list(p) for p in sorted(pay.w1)],
-                "gamma": sorted(pay.gamma_uo),
-                "w2": [list(p) for p in sorted(pay.w2)],
-            }
+            yield state, pay
+
+
+def sidecar_payload(sup, plant: Automaton, spec: Automaton) -> dict:
+    """JSON sidecar for a synthesized supervisor: construction tag, context
+    digests, guard settings, and structured payloads for triple states."""
+    body = _sidecar_header(sup, plant, spec)
+    payloads = {state: {"w1": [list(p) for p in sorted(pay.w1)],
+                        "gamma": sorted(pay.gamma_uo),
+                        "w2": [list(p) for p in sorted(pay.w2)]}
+                for state, pay in _triple_payloads(sup)}
     if payloads:
         body["payloads"] = payloads
     return body
 
 
+def _json_list(items, indent: str) -> str:
+    """The indent=2 JSON text of a list of already rendered items, at the
+    nesting level whose lines start with indent."""
+    if not items:
+        return "[]"
+    inner = ",\n%s  " % indent
+    return "[\n%s  %s\n%s]" % (indent, inner.join(items), indent)
+
+
 def write_sidecar(sup, plant: Automaton, spec: Automaton, path) -> None:
+    """Write sidecar_payload(sup, plant, spec) as json.dump(..., indent=2,
+    sort_keys=True) does, plus a newline.  The payloads, which sort last,
+    are written state by state, each w1, w2 and gamma value rendered once
+    per distinct set."""
+    header = json.dumps(_sidecar_header(sup, plant, spec), indent=2,
+                        sort_keys=True)
+    quote = json.encoder.encode_basestring_ascii
+    pair_sets: dict[frozenset, str] = {}
+    gammas: dict[frozenset, str] = {}
+
+    def pairs(w):  # a payload's w1 or w2
+        text = pair_sets.get(w)
+        if text is None:
+            text = pair_sets[w] = _json_list(
+                [_json_list([quote(x), quote(z)], " " * 8)
+                 for x, z in sorted(w)], " " * 6)
+        return text
+
+    # with payloads, the header's closing brace moves past them
+    opening = header[:-2] + ',\n  "payloads": {\n'
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar_payload(sup, plant, spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        sep = opening
+        for state, pay in _triple_payloads(sup):
+            gamma = gammas.get(pay.gamma_uo)
+            if gamma is None:
+                gamma = gammas[pay.gamma_uo] = _json_list(
+                    [quote(ev) for ev in sorted(pay.gamma_uo)], " " * 6)
+            fh.write('%s    %s: {\n      "gamma": %s,\n      "w1": %s,\n'
+                     '      "w2": %s\n    }'
+                     % (sep, quote(state), gamma, pairs(pay.w1), pairs(pay.w2)))
+            sep = ",\n"
+        fh.write(header + "\n" if sep is opening else "\n  }\n}\n")

@@ -16,11 +16,10 @@ from functools import cache, cached_property
 
 from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
-from .simulation import bit_positions
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
-                        SynthesisContext, _explore, _minimal_masks, clause_a,
-                        clause_b, disabled_move, initial_power_states,
-                        minimal_covers, render_pairs)
+                        SynthesisContext, _antichain_order, _explore,
+                        _minimal_masks, clause_a, clause_b, disabled_move,
+                        initial_power_states, minimal_covers, render_pairs)
 
 
 def _render_gamma(gamma) -> str:
@@ -76,29 +75,36 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     w1 = frozenset(w1)
     gamma = frozenset(gamma)
     root = ctx.mask(w1)
-    answer, owns, answered = ctx.closure_table(gamma)
-    unmet = sum(bit for i in bit_positions(root)
-                for bit, mask in owns[i] if not root & mask)
-    if not unmet:
+    closable = ctx.closable(gamma)
+    if root & ~closable:
+        # a closed core lies inside closable, so this one has no closure
+        return []
+    answer, owned, answered = ctx.closure_table(gamma)
+    have = ans = 0
+    rest = root
+    while rest:
+        low = rest & -rest
+        at = low.bit_length() - 1
+        have |= owned[at]
+        ans |= answered[at]
+        rest ^= low
+    if not have & ~ans:
         # a closed core is the only minimum, and is returned as itself: a
         # build holds every triple's core and closure
         return [w1]
-    closable = ctx.closable(gamma)
-    if root & ~closable:
-        return []
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
     seen = set()
-    # (mask, its unmet obligations as a mask of ctx.closure_table numbers):
-    # adding a pair never un-answers an obligation, so a child's unmet set is
-    # its parent's less what the added pair answers, plus what that pair owns
-    # and the child leaves unanswered.  Masks only grow down a branch, so
-    # they stay inside closable, where every obligation keeps an answer and
-    # every branch ends closed
-    stack = [(root, unmet)]
+    # (mask, the obligations its pairs own, those its pairs answer), both as
+    # masks of ctx.closure_table numbers, so that its unmet obligations are
+    # have & ~ans and a child's two masks are its parent's ORed with the
+    # added pair's.  Masks only grow down a branch, so they stay inside
+    # closable, where every obligation keeps an answer and every branch ends
+    # closed
+    stack = [(root, have, ans)]
     while stack:
-        w, unmet = stack.pop()
+        w, have, ans = stack.pop()
         if w in seen:
             continue
         seen.add(w)
@@ -107,24 +113,24 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             raise ExplosionGuardError(
                 "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
                 % (cap, render_pairs(w1), ",".join(sorted(gamma))))
+        unmet = have & ~ans
         if not unmet:
             closed.append(w)
             continue
         # the lowest bit is the least unmet obligation; ascending bits of its
         # answers are the spec successors in order, since x' is fixed and the
-        # pairs are sorted
+        # pairs are sorted.  A child already explored would be skipped when
+        # popped, so it is not pushed, which keeps deep searches' stacks small
         todo = answer[(unmet & -unmet).bit_length() - 1] & closable
         while todo:
             b = todo & -todo
             todo ^= b
             child = w | b
-            at = b.bit_length() - 1
-            left = unmet & ~answered[at]
-            for bit, mask in owns[at]:
-                if not child & mask:
-                    left |= bit
-            stack.append((child, left))
-    return ctx.power_states(_minimal_masks(closed))
+            if child not in seen:
+                at = b.bit_length() - 1
+                stack.append((child, have | owned[at], ans | answered[at]))
+    return [ctx.power_state(m)
+            for m in _antichain_order(_minimal_masks(closed))]
 
 
 def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
@@ -160,10 +166,12 @@ def _completions(w1: PowerState, gammas, ctx: SynthesisContext):
     minimal closure) pairs: each closure meets the enabling gate of every
     controllable event its gamma masks."""
     controllable = ctx.plant.alphabet.controllable
-    return [(g, w2) for g, gamma in enumerate(gammas)
-            for w2 in minimal_u(w1, gamma, ctx)
-            if all(ctx.mask(w2) & ctx.gates(ev)[0]
-                   for ev in gamma & controllable)]
+    out = []
+    for g, gamma in enumerate(gammas):
+        gates = [ctx.gates(ev)[0] for ev in gamma & controllable]
+        out += [(g, w2) for w2 in minimal_u(w1, gamma, ctx)
+                if all(ctx.mask(w2) & enabling for enabling in gates)]
+    return out
 
 
 def build_partial(plant: Automaton, spec: Automaton,

@@ -76,13 +76,14 @@ class ClosureTable(NamedTuple):
     then plant successor: bit k of an obligation mask stands for the k-th.
 
     answer[k] is the k-th obligation's answer mask (a row entry of
-    SynthesisContext.answers); owns[i] lists (bit k, answer[k]) for the
-    obligations of the i-th pair; answered[j] masks the obligations whose
-    answers hold the j-th pair.
+    SynthesisContext.answers); owned[i] masks the obligations of the i-th
+    pair, a run of consecutive bits; answered[j] masks the obligations whose
+    answers hold the j-th pair.  So the obligations a pair mask W leaves
+    unmet are the OR of owned over W less the OR of answered over W.
     """
 
     answer: tuple[int, ...]
-    owns: tuple[tuple[tuple[int, int], ...], ...]
+    owned: tuple[int, ...]
     answered: tuple[int, ...]
 
 
@@ -186,21 +187,20 @@ class SynthesisContext:
         table = self._closure_tables.get(gamma)
         if table is None:
             rows = [self.answers(ev) for ev in sorted(gamma)]
-            answer, owns = [], []
+            answer, owned = [], []
             n = len(self.fixpoint_pairs)
             answered = [0] * n
             for i in range(n):
-                mine = []
+                first = len(answer)
                 for row in rows:
                     for mask in row[i]:
                         bit = 1 << len(answer)
                         answer.append(mask)
-                        mine.append((bit, mask))
                         for j in bit_positions(mask):
                             answered[j] |= bit
-                owns.append(tuple(mine))
+                owned.append((1 << len(answer)) - (1 << first))
             table = self._closure_tables[gamma] = ClosureTable(
-                tuple(answer), tuple(owns), tuple(answered))
+                tuple(answer), tuple(owned), tuple(answered))
         return table
 
     def closable(self, gamma) -> int:
@@ -209,17 +209,17 @@ class SynthesisContext:
         union of gamma-closed sets is gamma-closed, so every one of them lies
         inside it, and a pair outside it lies in none.  Found by dropping, to
         a fixpoint, the pairs with an obligation answered only by dropped
-        pairs; cached per event set, and computed only when asked, as most
-        closure searches start closed."""
+        pairs; cached per event set."""
         gamma = frozenset(gamma)
         live = self._closable.get(gamma)
         if live is None:
-            answer, owns, answered = self.closure_table(gamma)
+            answer, owned, answered = self.closure_table(gamma)
             # obligations are numbered by pair ascending, so owner[k] is the
             # pair of the k-th; dropping pair i can leave without an answer
             # only the obligations i answered
-            owner = [i for i, mine in enumerate(owns) for _ in mine]
-            live = (1 << len(owns)) - 1
+            owner = [i for i, mine in enumerate(owned)
+                     for _ in range(mine.bit_count())]
+            live = (1 << len(owned)) - 1
             dead = [owner[k] for k, mask in enumerate(answer) if not mask]
             while dead:
                 i = dead.pop()
@@ -236,12 +236,8 @@ class SynthesisContext:
         family = frozenset(edges)
         out = self._transversals.get(family)
         if out is None:
-            # an antichain: at the lowest bit where two differ, the mask
-            # holding it sorts first by bit positions, and its reversed
-            # binary digits are the greater string there
-            out = self._transversals[family] = tuple(sorted(
-                _minimal_transversals(edges), key=lambda m: bin(m)[:1:-1],
-                reverse=True))
+            out = self._transversals[family] = tuple(
+                _antichain_order(_minimal_transversals(edges)))
         return out
 
     def mask(self, w) -> int:
@@ -256,9 +252,12 @@ class SynthesisContext:
         """The PowerState of a pair mask, made once per mask and shared."""
         w = self._power_states.get(mask)
         if w is None:
-            pairs = self.fixpoint_pairs
-            w = self._power_states[mask] = frozenset(
-                [pairs[i] for i in bit_positions(mask)])
+            pairs, members, rest = self.fixpoint_pairs, [], mask
+            while rest:
+                low = rest & -rest
+                members.append(pairs[low.bit_length() - 1])
+                rest ^= low
+            w = self._power_states[mask] = frozenset(members)
             self._masks[w] = mask
         return w
 
@@ -297,9 +296,16 @@ def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
 
 def _edges(w: PowerState, event: str, ctx: SynthesisContext) -> list[int]:
     """W's obligation masks under event (rows of ctx.answers), its pairs in
-    ascending order; every cover of (W, event) hits each of them."""
+    ascending order; every cover of (W, event) hits each of them.  Raises
+    InputError on a pair outside the fixpoint."""
     table = ctx.answers(event)
-    return [mask for i in _indices(w, ctx) for mask in table[i]]
+    rest = ctx.mask(w)
+    edges = []
+    while rest:
+        low = rest & -rest
+        edges += table[low.bit_length() - 1]
+        rest ^= low
+    return edges
 
 
 def _fixpoint_mask(w, ctx: SynthesisContext) -> int | None:
@@ -414,6 +420,14 @@ def _minimal_masks(masks) -> list[int]:
         if not any(k & m == k for k in kept):
             kept.append(m)
     return kept
+
+
+def _antichain_order(masks) -> list[int]:
+    """An antichain of pair masks in canonical order, that of power_states,
+    with no bit_positions list per mask: at the lowest bit where two members
+    differ, the one holding it sorts first by bit positions, and its reversed
+    binary digits are the greater string there."""
+    return sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
 
 
 def _minimal_transversals(edges: list[int]) -> list[int]:
@@ -567,7 +581,10 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
     index = {key: i for i, key in enumerate(keys)}
     n_init = len(keys)
     cap = ctx.guards.max_states
-    edges = []  # the automaton's frozenset drops any repeat
+    # source, event and target index of each edge, one after another in a
+    # flat list, which holds no tuple per edge; the automaton's frozenset
+    # drops any repeat
+    edges = []
     for src, key in enumerate(keys):  # keys grows as the walk reaches states
         for ev, targets in step(key):
             for target in targets:
@@ -579,16 +596,18 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
                             % (cap, state(target)[0]))
                     i = index[target] = len(keys)
                     keys.append(target)
-                edges.append((src, ev, i))
+                edges += (src, ev, i)
     ids, payloads = [], {}
     for key in keys:
         sid, p = state(key)
         ids.append(sid)
         payloads[sid] = p
+    triples = iter(edges)
     # ids are rendered from the plant's and spec's valid ids
     auto = Automaton._of_valid_ids(
         frozenset(ids), ctx.plant.alphabet,
-        frozenset([(ids[a], ev, ids[b]) for (a, ev, b) in edges]),
+        frozenset([(ids[a], ev, ids[b])
+                   for a, ev, b in zip(triples, triples, triples)]),
         frozenset(ids[:n_init]))
     return SupervisorAutomaton(auto, payloads, tag, ctx.guards, notes)
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simsup import (Guards, InputError, ParseError, autfile, automata,
-                    automaton_digest, format_automaton, parse_automaton,
-                    parse_pairs, render_pairs, sidecar_payload)
+from simsup import (Alphabet, Automaton, Guards, InputError, ParseError,
+                    autfile, automata, automaton_digest, format_automaton,
+                    parse_automaton, parse_pairs, render_pairs,
+                    sidecar_payload, write_sidecar)
 from simsup.partial import build_partial
 from simsup.randgen import random_pair
 from simsup.synthesis import SynthesisContext, build
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC
+from .test_partial import partial_draw
 
 GOOD = """\
 # a comment line
@@ -187,3 +189,44 @@ def test_sidecar_records_triple_payloads():
     assert body["payloads"]
     sample = next(iter(body["payloads"].values()))
     assert set(sample) == {"w1", "gamma", "w2"}
+
+
+# a partial instance whose state ids hold a backslash and non-ASCII letters,
+# and whose unobservable event is non-ASCII too, so every payload string and
+# state id of its sidecar needs escaping
+_ODD = Alphabet.build(["\u03c3", "c"], controllable=["c"], observable=["c"])
+_ODD_PLANT = Automaton.build(
+    _ODD, [("x\\0", "\u03c3", "x\u00e91"), ("x\u00e91", "\u03c3", "x2"),
+           ("x2", "c", "x3")], ["x\\0"])
+_ODD_SPEC = Automaton.build(
+    _ODD, [("z0", "\u03c3", "z\\1"), ("z\\1", "\u03c3", "z2"),
+           ("z\\1", "\u03c3", "z\u00fc3"), ("z\u00fc3", "c", "z4")], ["z0"])
+
+
+def _sidecar_case(case):
+    if case == "full":
+        return build(SynthesisContext(CHAIN_PLANT, CHAIN_SPEC)), CHAIN_PLANT, \
+            CHAIN_SPEC
+    if case == "escaped":
+        plant, spec = _ODD_PLANT, _ODD_SPEC
+    else:  # a draw of test_build_partial_outputs_pinned
+        plant, spec = partial_draw(*case)
+    return build_partial(plant, spec, Guards()), plant, spec
+
+
+@pytest.mark.parametrize("case", [
+    (1, 8, 10), (7, 7, 6), (13, 9, 9), (29, 8, 8), (31, 8, 6), (43, 7, 9),
+    "full", "escaped"])
+def test_write_sidecar_bytes_are_the_json_dump(tmp_path, case):
+    # the writer renders payloads itself; its bytes are those of the one
+    # definition of the structure, dumped with ASCII escapes
+    sup, plant, spec = _sidecar_case(case)
+    body = sidecar_payload(sup, plant, spec)
+    assert ("payloads" in body) == (case != "full")
+    path = tmp_path / "sup.json"
+    write_sidecar(sup, plant, spec, path)
+    data = path.read_bytes()
+    assert data == (json.dumps(body, indent=2, sort_keys=True) + "\n").encode()
+    if case == "escaped":
+        assert all(esc in data for esc in (b"x\\\\0", b"x\\u00e91",
+                                            b"z\\u00fc3", b"\\u03c3"))

@@ -20,9 +20,10 @@ from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
                               render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
-from .oracles import (all_supervisors, oracle_in_sp, oracle_loop_below,
-                      oracle_matchable, oracle_minimal_u_by_branching,
-                      oracle_minimal_u_unpruned, oracle_unanswered)
+from .oracles import (all_supervisors, oracle_closable, oracle_in_sp,
+                      oracle_loop_below, oracle_matchable,
+                      oracle_minimal_u_by_branching, oracle_minimal_u_unpruned,
+                      oracle_unanswered)
 from .pool import uc_instance
 
 # chain fixture with sigma unobservable
@@ -242,6 +243,32 @@ def test_closable_is_the_union_of_the_closed_sets(seed, nx, nz):
         # the search says so before it explores a second mask
         for pair in sorted(set(pairs) - union):
             assert minimal_u(frozenset({pair}), gamma, ctx) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=3, max_value=5),
+       st.integers(min_value=3, max_value=5))
+def test_obligation_bitsets_match_the_unanswered_oracle(seed, nx, nz):
+    # the closure search knows a mask W's unmet obligations as the OR of
+    # owned over W less the OR of answered over W; the pairs owning one are
+    # the pairs of W that the string oracle finds unanswered
+    plant, spec = partial_draw(seed, nx, nz)
+    assume(plant.alphabet.unobservable)
+    ctx = SynthesisContext(plant, spec)
+    pairs = ctx.fixpoint_pairs
+    for gamma in gamma_candidates(plant.alphabet):
+        unanswered = oracle_unanswered(gamma, plant, spec)
+        _, owned, answered = ctx.closure_table(gamma)
+        for k in range(4):
+            for combo in itertools.combinations(range(len(pairs)), k):
+                ans = 0
+                for i in combo:
+                    ans |= answered[i]
+                assert {pairs[i] for i in combo if owned[i] & ~ans} == \
+                    unanswered(frozenset(pairs[i] for i in combo))
+        assert ctx.power_state(ctx.closable(gamma)) == \
+            oracle_closable(gamma, plant, spec, ctx.w_up)
 
 
 def test_closable_pairs_bound_the_search_from_a_workload_core():
