@@ -50,9 +50,12 @@ def main():
     print("unobservable masks:", [sorted(g) for g in gamma_candidates(plant.alphabet)])
     w0 = frozenset({("x0", "z0")})
     # sigma is uncontrollable, so every admissible mask keeps it open; the
-    # closure of W0 under silent sigma steps branches at the second sigma
-    for u in minimal_u(w0, frozenset({"sigma"}), ctx):
-        print("minimal closure of %s:" % render_pairs(w0), render_pairs(u))
+    # closure of W0 under silent sigma steps branches at the second sigma.
+    # minimal_u works on pair masks: W0 goes in as its mask, and each
+    # closure mask comes back out as its PowerState
+    for u in minimal_u(ctx.mask(w0), frozenset({"sigma"}), ctx):
+        print("minimal closure of %s:" % render_pairs(w0),
+              render_pairs(ctx.power_state(u)))
 
     banner("Anatomy of a triple state")
     good = TripleState(w0, frozenset({"sigma"}),

@@ -132,7 +132,7 @@ def _gr(sup: SupervisorAutomaton, plant: Automaton, spec: Automaton,
         for ev, enabling, blocked in gates:
             targets = auto.succ.get((sid, ev))
             if targets:
-                edges = _edges(payloads[sid], ev, ctx)
+                edges = _edges(mask, ev, ctx)
                 pool = reduce(or_, edges, 0)
                 stray += [ClauseFailure("6-b", (sid, ev, tgt)) for tgt in targets
                           if not _admits(edges, pool, masks[tgt])]

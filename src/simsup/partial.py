@@ -18,8 +18,9 @@ from .automata import Alphabet, Automaton, compose, split_product_id
 from .errors import ExplosionGuardError
 from .synthesis import (Guards, PowerState, SupervisorAutomaton,
                         SynthesisContext, _antichain_order, _explore,
-                        _minimal_masks, clause_a, clause_b, disabled_move,
-                        initial_power_states, minimal_covers, render_pairs)
+                        _fixpoint_mask, _minimal_masks, clause_a, clause_b,
+                        disabled_move, initial_power_states, minimal_covers,
+                        render_pairs)
 
 
 def _render_gamma(gamma) -> str:
@@ -61,27 +62,26 @@ def gamma_candidates(alphabet: Alphabet) -> list[frozenset[str]]:
     return sorted(out, key=lambda g: tuple(sorted(g)))
 
 
-def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
-    """Minimal supersets of w1 within the fixpoint closed under gamma-labeled
-    obligations; empty when no closure exists inside the fixpoint.
+def minimal_u(core: int, gamma, ctx: SynthesisContext) -> list[int]:
+    """Minimal supersets of the pair mask core within the fixpoint closed
+    under gamma-labeled obligations, as pair masks in canonical order; empty
+    when no closure exists inside the fixpoint.
 
-    A closed w1 is returned as itself, and a w1 holding a pair outside
+    A closed core is returned as itself, and a core holding a pair outside
     ctx.closable(gamma) has no closure.  Otherwise the search branches over
     the closable answers to the least unmet obligation, closing each branch
-    to a fixpoint, then antichain-reduces the closures.  Works over pair
-    bitmasks; the cap bounds the distinct pair sets the search reaches from
-    w1 over closable pairs, closed or not.
+    to a fixpoint, then antichain-reduces the closures.  The cap bounds the
+    distinct pair sets the search reaches from the core over closable pairs,
+    closed or not.
     """
-    w1 = frozenset(w1)
     gamma = frozenset(gamma)
-    root = ctx.mask(w1)
     closable = ctx.closable(gamma)
-    if root & ~closable:
+    if core & ~closable:
         # a closed core lies inside closable, so this one has no closure
         return []
     answer, owned, answered = ctx.closure_table(gamma)
     have = ans = 0
-    rest = root
+    rest = core
     while rest:
         low = rest & -rest
         at = low.bit_length() - 1
@@ -89,9 +89,8 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
         ans |= answered[at]
         rest ^= low
     if not have & ~ans:
-        # a closed core is the only minimum, and is returned as itself: a
-        # build holds every triple's core and closure
-        return [w1]
+        # a closed core is the only minimum
+        return [core]
     cap = ctx.guards.max_covers
     explored = 0
     closed = []
@@ -102,7 +101,7 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
     # added pair's.  Masks only grow down a branch, so they stay inside
     # closable, where every obligation keeps an answer and every branch ends
     # closed
-    stack = [(root, have, ans)]
+    stack = [(core, have, ans)]
     while stack:
         w, have, ans = stack.pop()
         if w in seen:
@@ -111,8 +110,8 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
         explored += 1
         if explored > cap:
             raise ExplosionGuardError(
-                "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
-                % (cap, render_pairs(w1), ",".join(sorted(gamma))))
+                "closure enumeration cap %d exceeded for W1=%s gamma=%s"
+                % (cap, render_pairs(ctx.power_state(core)), _render_gamma(gamma)))
         unmet = have & ~ans
         if not unmet:
             closed.append(w)
@@ -129,8 +128,7 @@ def minimal_u(w1: PowerState, gamma, ctx: SynthesisContext) -> list[PowerState]:
             if child not in seen:
                 at = b.bit_length() - 1
                 stack.append((child, have | owned[at], ans | answered[at]))
-    return [ctx.power_state(m)
-            for m in _antichain_order(_minimal_masks(closed))]
+    return _antichain_order(_minimal_masks(closed))
 
 
 def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
@@ -141,9 +139,10 @@ def validate_triple(y: TripleState, ctx: SynthesisContext) -> list[str]:
         bad.append("w1-empty")
     if y.gamma_uo not in gamma_candidates(alphabet):
         bad.append("gamma-not-admissible")
-    if not y.w1 <= ctx.w_up or not y.w2 <= ctx.w_up:
+    w1, w2 = _fixpoint_mask(y.w1, ctx), _fixpoint_mask(y.w2, ctx)
+    if w1 is None or w2 is None:
         bad.append("outside-fixpoint")
-    elif y.w2 not in minimal_u(y.w1, y.gamma_uo, ctx):
+    elif w2 not in minimal_u(w1, y.gamma_uo, ctx):
         bad.append("w2-not-minimal-closure")
     # masked controllable events must actually occur somewhere in w2
     if not all(clause_a(y.w2, ev, ctx)
@@ -161,16 +160,16 @@ def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
                  and clause_b(y.w2, ev, ctx))
 
 
-def _completions(w1: PowerState, gammas, ctx: SynthesisContext):
-    """Every admissible completion of a core w1, as (index in gammas,
-    minimal closure) pairs: each closure meets the enabling gate of every
-    controllable event its gamma masks."""
+def _completions(core: int, gammas, ctx: SynthesisContext):
+    """Every admissible completion of a core mask, as (index in gammas,
+    minimal closure mask) pairs: each closure meets the enabling gate of
+    every controllable event its gamma masks."""
     controllable = ctx.plant.alphabet.controllable
     out = []
     for g, gamma in enumerate(gammas):
         gates = [ctx.gates(ev)[0] for ev in gamma & controllable]
-        out += [(g, w2) for w2 in minimal_u(w1, gamma, ctx)
-                if all(ctx.mask(w2) & enabling for enabling in gates)]
+        out += [(g, w2) for w2 in minimal_u(core, gamma, ctx)
+                if all(w2 & enabling for enabling in gates)]
     return out
 
 
@@ -200,8 +199,7 @@ def build_partial(plant: Automaton, spec: Automaton,
         keys = completed.get(core)
         if keys is None:
             keys = completed[core] = [
-                (core, g, ctx.mask(w2))
-                for g, w2 in _completions(ctx.power_state(core), gammas, ctx)]
+                (core, g, w2) for g, w2 in _completions(core, gammas, ctx)]
         return keys
 
     def step(key):

@@ -36,7 +36,9 @@ class Guards:
     that bounds the choice functions behind each set of minimal covers, the
     covers variant1 yields per (PowerState, event), the distinct pair sets
     minimal_u reaches from W1 over closable pairs and the initial
-    combinations."""
+    combinations.  Initial states do not count against the state cap, so a
+    supervisor can hold more than max_states states; nothing bounds the
+    partial build's completions of the initial combinations as a whole."""
 
     max_states: int = 10_000
     max_covers: int = 4_096
@@ -111,6 +113,8 @@ class SynthesisContext:
         default_factory=dict, init=False, repr=False, compare=False)
     _power_states: dict[int, PowerState] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # the masks of the PowerStates power_state made, for mask to look up:
+    # they serve only the minimal_covers hook, which takes PowerStates
     _masks: dict[PowerState, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -242,10 +246,11 @@ class SynthesisContext:
 
     def mask(self, w) -> int:
         """The pair mask of a PowerState, looked up when power_state made
-        it; raises InputError on a pair outside the fixpoint."""
-        mask = self._masks.get(w)
+        it; raises InputError naming the least pair outside the fixpoint."""
+        mask = self._masks.get(w) or _fixpoint_mask(w, self)
         if mask is None:
-            mask = sum(1 << i for i in _indices(w, self))
+            raise InputError("PowerState pair (%s,%s) outside the fixpoint"
+                             % min(p for p in w if p not in self.pair_index))
         return mask
 
     def power_state(self, mask: int) -> PowerState:
@@ -283,23 +288,12 @@ class CoverFamily:
     candidate_pairs: tuple[Pair, ...]
 
 
-def _indices(w: PowerState, ctx: SynthesisContext) -> list[int]:
-    """Positions of w's pairs in fixpoint_pairs, ascending (the _canon
-    order); raises InputError naming the least pair outside the fixpoint."""
-    index = ctx.pair_index
-    try:
-        return sorted(map(index.__getitem__, w))
-    except KeyError:
-        raise InputError("PowerState pair (%s,%s) outside the fixpoint"
-                         % min(p for p in w if p not in index)) from None
-
-
-def _edges(w: PowerState, event: str, ctx: SynthesisContext) -> list[int]:
-    """W's obligation masks under event (rows of ctx.answers), its pairs in
-    ascending order; every cover of (W, event) hits each of them.  Raises
-    InputError on a pair outside the fixpoint."""
+def _edges(mask: int, event: str, ctx: SynthesisContext) -> list[int]:
+    """The obligation masks under event (rows of ctx.answers) of the pairs
+    of a pair mask, ascending; every cover of (W, event) hits each of
+    them."""
     table = ctx.answers(event)
-    rest = ctx.mask(w)
+    rest = mask
     edges = []
     while rest:
         low = rest & -rest
@@ -333,7 +327,7 @@ def cover_family(w: PowerState, event: str, ctx: SynthesisContext) -> CoverFamil
     pairs, gsucc, table = ctx.fixpoint_pairs, ctx.plant.succ, ctx.answers(event)
     obligations = []
     pool = 0
-    for i in _indices(w, ctx):
+    for i in bit_positions(ctx.mask(w)):
         x, z = pairs[i]
         for x1, mask in zip(gsucc.get((x, event), ()), table[i]):
             obligations.append(((x, z, x1),
@@ -368,7 +362,7 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
     order: each subset of the candidate pairs answering every obligation.
     Raises the explosion guard when the consumer pulls more than the
     context's cover cap."""
-    edges = _edges(w, event, ctx)
+    edges = _edges(ctx.mask(w), event, ctx)
     cap = ctx.guards.max_covers
     bits = [1 << j for j in bit_positions(reduce(or_, edges, 0))]
     later = [0] * (len(bits) + 1)  # later[i]: the pool bits from i on
@@ -408,7 +402,7 @@ def n_set_members(w: PowerState, event: str, ctx: SynthesisContext):
 def in_n_set(w: PowerState, event: str, target: PowerState,
              ctx: SynthesisContext) -> bool:
     """Membership test for the cover family, without enumeration."""
-    edges = _edges(w, event, ctx)
+    edges = _edges(ctx.mask(w), event, ctx)
     return _admits(edges, reduce(or_, edges, 0), _fixpoint_mask(target, ctx))
 
 
@@ -508,7 +502,7 @@ def minimal_covers(w: PowerState, event: str,
     enumerated or looked up in the context's cache, so a trip is never
     cached.
     """
-    edges = _edges(w, event, ctx)
+    edges = _edges(ctx.mask(w), event, ctx)
     if not all(edges):
         return ()
     cap = ctx.guards.max_covers

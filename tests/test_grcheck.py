@@ -10,10 +10,12 @@ import pytest
 from simsup import (ExplosionGuardError, InputError, compose, in_sp,
                     more_permissive)
 from simsup import grcheck
+from simsup.autfile import format_automaton, parse_automaton
 from simsup.automata import Automaton, reachable
 from simsup.grcheck import CLAUSE_ORDER, check_gr, check_saturated
 from simsup.synthesis import (Guards, SupervisorAutomaton, SynthesisContext,
-                              build, in_n_set, supervisor_from_pair_sets)
+                              build, in_n_set, payloads_from_ids,
+                              supervisor_from_pair_sets)
 
 from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        FORK_SPEC, W0, W1, W2, W3, W5, chain_sup_a,
@@ -39,6 +41,33 @@ def test_builds_pass_check_gr():
     for variant in ("takai", "variant1"):
         report = check_gr(build(ctx, variant), CHAIN_PLANT, CHAIN_SPEC, ctx)
         assert report.ok, report.to_json()
+
+
+def test_check_gr_takes_no_masks_of_its_own(monkeypatch):
+    # check_gr reads each payload's pair mask once, itself, and judges 6-a
+    # and 6-b on those masks: on supervisors parsed back from their files,
+    # whose payloads no context made, it converts no PowerState through
+    # SynthesisContext.mask
+    parsed = []
+    for draw in range(3, 23):
+        plant, spec, _ = uc_instance(draw)
+        for variant in ("takai", "variant1"):
+            built = build(SynthesisContext(plant, spec), variant).automaton
+            auto = parse_automaton(format_automaton(built))
+            parsed.append((SupervisorAutomaton(auto, payloads_from_ids(auto),
+                                               "user"), plant, spec))
+    real = SynthesisContext.mask
+    calls = Counter()
+
+    def counted(self, w):
+        calls[w] += 1
+        return real(self, w)
+
+    monkeypatch.setattr(SynthesisContext, "mask", counted)
+    for sup, plant, spec in parsed:
+        assert check_gr(sup, plant, spec).ok
+    assert sum(len(sup.automaton.transitions) for sup, _, _ in parsed) > 100
+    assert not calls
 
 
 def test_state_clause_failure():

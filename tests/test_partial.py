@@ -63,14 +63,21 @@ def test_gamma_candidates_free_controllable():
 
 # --- closures ----------------------------------------------------------------
 
+def closures(w1, gamma, ctx):
+    """minimal_u from the pair mask of the PowerState w1, its closures made
+    PowerStates in the order it returns them, as the string oracles give
+    theirs."""
+    return [ctx.power_state(m) for m in minimal_u(ctx.mask(w1), gamma, ctx)]
+
+
 def test_minimal_u_identity_under_empty_mask():
     ctx = SynthesisContext(CHAIN_PLANT, CHAIN_SPEC, Guards())
-    (closure,) = minimal_u(W0, frozenset(), ctx)
-    assert closure is W0  # a closed core is returned as itself
+    core = ctx.mask(W0)
+    assert minimal_u(core, frozenset(), ctx) == [core]
 
 
 def test_minimal_u_chain_closures():
-    got = minimal_u(W0, frozenset({"sigma"}), uo_ctx())
+    got = closures(W0, frozenset({"sigma"}), uo_ctx())
     assert got == [
         frozenset({("x0", "z0"), ("x1", "z1"), ("x2", "z2")}),
         frozenset({("x0", "z0"), ("x1", "z1"), ("x2", "z3")}),
@@ -78,14 +85,17 @@ def test_minimal_u_chain_closures():
 
 
 def test_minimal_u_requires_fixpoint_subset():
-    with pytest.raises(InputError):
-        minimal_u(frozenset({("x0", "z4")}), frozenset(), uo_ctx())
+    # a core is a pair mask, and a PowerState becomes one only inside the
+    # fixpoint
+    with pytest.raises(InputError, match=re.escape(
+            "PowerState pair (x0,z4) outside the fixpoint")):
+        closures(frozenset({("x0", "z4")}), frozenset(), uo_ctx())
 
 
 def test_minimal_u_cap():
     ctx = SynthesisContext(UO_PLANT, UO_SPEC, Guards(max_covers=1))
     with pytest.raises(ExplosionGuardError):
-        minimal_u(W0, frozenset({"sigma"}), ctx)
+        minimal_u(ctx.mask(W0), frozenset({"sigma"}), ctx)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +109,7 @@ def test_minimal_u_matches_brute_force(seed):
     for pair in sorted(ctx.w_up)[:4]:
         w1 = frozenset({pair})
         for gamma in gamma_candidates(plant.alphabet):
-            mine = set(minimal_u(w1, gamma, ctx))
+            mine = set(closures(w1, gamma, ctx))
             brute = set(oracle_minimal_u(w1, gamma, plant, spec, ctx.w_up))
             assert mine == brute
 
@@ -134,13 +144,15 @@ def test_minimal_u_matches_branching_oracle_on_builds(monkeypatch, seed, nx, nz)
     real = partial.minimal_u
     outcomes = []
 
-    def checked(w1, gamma, ctx):
-        got = _closures_or_guard(real, w1, gamma, ctx)
-        assert got == _closures_or_guard(oracle_minimal_u_by_branching,
-                                         w1, gamma, ctx)
+    def checked(core, gamma, ctx):
+        got = _closures_or_guard(real, core, gamma, ctx)
+        want = _closures_or_guard(oracle_minimal_u_by_branching,
+                                  ctx.power_state(core), gamma, ctx)
         outcomes.append(got)
         if isinstance(got, tuple):
+            assert got == want
             raise ExplosionGuardError(got[1])
+        assert [ctx.power_state(m) for m in got] == want
         return got
 
     monkeypatch.setattr(partial, "minimal_u", checked)
@@ -187,13 +199,13 @@ def test_closure_cap_trips_exactly_past_the_reachable_masks(seed, nx, nz):
                 continue
             needs.append(need)
             ctx = SynthesisContext(plant, spec, Guards(max_covers=need))
-            assert minimal_u(w1, gamma, ctx) == \
+            assert closures(w1, gamma, ctx) == \
                 oracle_minimal_u_by_branching(w1, gamma, ctx)
             ctx = SynthesisContext(plant, spec, Guards(max_covers=need - 1))
             with pytest.raises(ExplosionGuardError, match=re.escape(
                     "closure enumeration cap %d exceeded for W1=%s gamma={%s}"
                     % (need - 1, render_pairs(w1), ",".join(sorted(gamma))))):
-                minimal_u(w1, gamma, ctx)
+                closures(w1, gamma, ctx)
     assert len(needs) >= 20 and max(needs) >= 40
 
 
@@ -213,7 +225,7 @@ def test_minimal_u_guard_trip_points(seed, cap, pick):
     pairs = sorted(ctx.w_up)
     w1 = frozenset({pairs[pick % len(pairs)], pairs[pick * 7 % len(pairs)]})
     for gamma in gamma_candidates(plant.alphabet):
-        got = _closures_or_guard(minimal_u, w1, gamma, ctx)
+        got = _closures_or_guard(closures, w1, gamma, ctx)
         assert got == _closures_or_guard(oracle_minimal_u_by_branching,
                                          w1, gamma, ctx)
         old = _closures_or_guard(oracle_minimal_u_unpruned, w1, gamma, ctx)
@@ -242,7 +254,7 @@ def test_closable_is_the_union_of_the_closed_sets(seed, nx, nz):
         # a core holding a pair outside every closed set has no closure, and
         # the search says so before it explores a second mask
         for pair in sorted(set(pairs) - union):
-            assert minimal_u(frozenset({pair}), gamma, ctx) == []
+            assert closures(frozenset({pair}), gamma, ctx) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +294,7 @@ def test_closable_pairs_bound_the_search_from_a_workload_core():
     with pytest.raises(ExplosionGuardError, match=re.escape(
             "closure enumeration cap 4096 exceeded for W1={(x3,z9)}")):
         oracle_minimal_u_unpruned(w1, gamma, ctx)
-    got = minimal_u(w1, gamma, ctx)
+    got = closures(w1, gamma, ctx)
     assert len(got) == 10
     assert got == oracle_minimal_u_by_branching(w1, gamma, ctx)
 
@@ -290,10 +302,15 @@ def test_closable_pairs_bound_the_search_from_a_workload_core():
 # --- triple validation -------------------------------------------------------
 
 def test_validate_triple_accepts_built_states():
-    sup = build_partial(UO_PLANT, UO_SPEC, Guards())
-    ctx = uo_ctx()
-    for y in sup.payloads.values():
-        assert validate_triple(y, ctx) == []
+    # the UO fixture, and three draws of test_build_partial_outputs_pinned
+    # whose closure searches branch
+    pairs = [(UO_PLANT, UO_SPEC)] + [
+        partial_draw(*draw) for draw in ((13, 9, 9), (29, 8, 8), (43, 7, 9))]
+    for plant, spec in pairs:
+        sup = build_partial(plant, spec, Guards())
+        ctx = SynthesisContext(plant, spec)
+        for y in sup.payloads.values():
+            assert validate_triple(y, ctx) == []
 
 
 def test_validate_triple_names_violations():
@@ -409,7 +426,7 @@ def test_initial_cores_complete_under_the_minimal_mask():
         gamma = alpha.unobservable & alpha.uncontrollable
         assert gamma in gamma_candidates(alpha)
         for core in initial_power_states(ctx):
-            assert partial._completions(core, [gamma], ctx)
+            assert partial._completions(ctx.mask(core), [gamma], ctx)
             cores += 1
     assert cores > len(draws)
 
@@ -419,9 +436,9 @@ def test_build_partial_completes_each_core_once(monkeypatch):
     real = partial.minimal_u
     calls = Counter()
 
-    def counted(w1, gamma, ctx):
-        calls[w1, gamma] += 1
-        return real(w1, gamma, ctx)
+    def counted(core, gamma, ctx):
+        calls[core, gamma] += 1
+        return real(core, gamma, ctx)
 
     monkeypatch.setattr(partial, "minimal_u", counted)
     build_partial(plant, spec, Guards())
@@ -490,7 +507,8 @@ def test_a_state_cap_trip_renders_only_initial_and_tripping_ids(monkeypatch):
     initial = set()
     for w01 in initial_power_states(ctx):
         initial.add(w01)
-        initial.update(u for _, u in partial._completions(w01, gammas, ctx))
+        initial.update(ctx.power_state(u) for _, u in
+                       partial._completions(ctx.mask(w01), gammas, ctx))
     assert len(initial) > 1
     assert set(rendered) == initial | {parse_pairs(w1), parse_pairs(w2)}
     assert set(rendered.values()) == {1}

@@ -101,6 +101,25 @@ def test_cover_family_rejects_pairs_outside_fixpoint():
         cover_family(frozenset({("x0", "z4")}), "sigma", chain_ctx())
 
 
+@pytest.mark.parametrize("call", [
+    lambda w, ctx: ctx.mask(w),
+    lambda w, ctx: cover_family(w, "sigma", ctx),
+    lambda w, ctx: minimal_covers(w, "sigma", ctx),
+    lambda w, ctx: n_set_members(w, "sigma", ctx),
+    lambda w, ctx: in_n_set(w, "sigma", W1, ctx),
+    lambda w, ctx: clause_b(w, "c", ctx)],
+    ids=["mask", "cover_family", "minimal_covers", "n_set_members",
+         "in_n_set", "clause_b"])
+def test_a_pair_outside_the_fixpoint_is_named_by_one_message(call):
+    # every entry point that takes a PowerState turns it into a pair mask
+    # through SynthesisContext.mask, which names the least pair outside the
+    # fixpoint; c is controllable, so clause_b reads the mask
+    w = W0 | {("x1", "z4"), ("x0", "z4")}
+    with pytest.raises(InputError) as exc:
+        call(w, chain_ctx())
+    assert str(exc.value) == "PowerState pair (x0,z4) outside the fixpoint"
+
+
 def test_n_set_membership_predicate():
     ctx = chain_ctx()
     assert in_n_set(W1, "sigma", W2, ctx)
