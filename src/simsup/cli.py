@@ -12,6 +12,8 @@ Guard caps resolve in order: command-line flag, config file (key=value lines,
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import sys
@@ -262,9 +264,14 @@ def cmd_export_dot(args) -> int:
 class _Command(argparse.ArgumentParser):
     """A subcommand's parser, built on its first parse.
 
-    `build_parser` registers every subcommand by name and help string only;
-    `fill` adds the arguments of the one subcommand that argv names, so a
-    call pays for one subcommand's parser, not six. This relies on argparse
+    The prototype parser registers every subcommand by name and help string
+    only; `fill` adds the arguments of a subcommand on the first parse that
+    names it, so a process pays for each subcommand's arguments once, and
+    only for the subcommands it runs. The filled parser lives in the
+    process-wide prototype that every `build_parser` copy shares.
+    `set_defaults(func=cmd_*)` binds the function at that first fill, so a
+    test that replaces behaviour patches what a `cmd_*` calls (`cli.build`,
+    `cli.check_simulation`), not `cli.cmd_*` itself. This relies on argparse
     passing `add_parser`'s extra keyword arguments to `parser_class`, and
     parsing a subcommand's arguments through its `parse_known_args`.
     """
@@ -345,7 +352,8 @@ def _fill_export_dot(p) -> None:
     p.set_defaults(func=cmd_export_dot)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _prototype() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simsup",
         description="Supervisor synthesis and verification for the similarity "
@@ -370,6 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     subs.add_parser("export-dot", fill=_fill_export_dot,
                     help="render an automaton file as DOT")
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for one call: a shallow copy of the process-wide prototype.
+
+    Every copy shares the prototype's actions and subcommand parsers, so the
+    parser is built once per process and each subcommand filled once (see
+    `_Command`, also for why tests patch what a `cmd_*` calls). Parsing
+    changes none of them past that fill. A copy has its own `__dict__`: a
+    caller may rebind attributes on it, as bench/tracer.py rebinds
+    `parse_args` on each parser this returns, without reaching the
+    prototype. Caching the parser itself would stack one such wrapper per
+    call.
+    """
+    return copy.copy(_prototype())
 
 
 def main(argv=None) -> int:

@@ -679,9 +679,11 @@ def test_dot_labels_are_abbreviated_to_the_width(chain_files, capsys):
 
 # --- help and usage text -----------------------------------------------------
 
-# Every help and usage error text at COLUMNS=80, byte for byte: building a
-# subcommand's parser only when argv names it must not change them. argparse
-# prints the same bytes on Python 3.10 to 3.13.
+# Every help and usage error text at COLUMNS=80, byte for byte: filling a
+# subcommand's parser only when argv names it, and sharing one prototype
+# parser per process, must not change them, whether the prototype is cold or
+# has every subcommand filled. argparse prints the same bytes on Python 3.10
+# to 3.13.
 
 USAGE = """\
 usage: simsup [-h] [--version]
@@ -826,11 +828,37 @@ def _run_main(argv, capsys, monkeypatch):
     return exc.value.code, out, err
 
 
+@pytest.fixture
+def cold_prototype():
+    """The process-wide prototype parser is built afresh inside the test and
+    dropped after it."""
+    cli._prototype.cache_clear()
+    yield
+    cli._prototype.cache_clear()
+
+
+# argv that fills every subcommand's parser and prints nothing
+EVERY_SUBCOMMAND = (["check", "g", "r"],
+                    ["synthesize", "g", "r", "--out", "x"],
+                    ["verify", "s", "g", "r"], ["compose", "a", "b"],
+                    ["random", "--seed", "1", "--out", "x"],
+                    ["export-dot", "f"])
+
+
+def _run_main_cold_and_warm(argv, capsys, monkeypatch):
+    """`_run_main` on a cold prototype (the cold_prototype fixture), then on
+    a warm one, in which every subcommand has been parsed first."""
+    cold = _run_main(argv, capsys, monkeypatch)
+    for every in EVERY_SUBCOMMAND:
+        build_parser().parse_args(every)
+    return cold, _run_main(argv, capsys, monkeypatch)
+
+
 @pytest.mark.parametrize("command", list(HELP),
                          ids=lambda command: "-".join(("simsup", *command)))
-def test_help_text(command, capsys, monkeypatch):
-    assert _run_main([*command, "--help"], capsys, monkeypatch) \
-        == (0, HELP[command], "")
+def test_help_text(command, cold_prototype, capsys, monkeypatch):
+    assert _run_main_cold_and_warm([*command, "--help"], capsys, monkeypatch) \
+        == ((0, HELP[command], ""),) * 2
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -847,11 +875,30 @@ def test_help_text(command, capsys, monkeypatch):
                     "int value: 'x'\n"),
 ], ids=["no-arguments", "unknown-command", "synthesize-without-out",
         "verify-bad-max-states"])
-def test_usage_error_text_exit_2(argv, message, capsys, monkeypatch):
-    assert _run_main(argv, capsys, monkeypatch) == (2, "", message)
+def test_usage_error_text_exit_2(argv, message, cold_prototype, capsys,
+                                 monkeypatch):
+    assert _run_main_cold_and_warm(argv, capsys, monkeypatch) \
+        == ((2, "", message),) * 2
 
 
 # --- parser construction -----------------------------------------------------
+
+def _tracing(build, seen):
+    """A build_parser that rebinds `parse_args` on each parser it returns and
+    records each argv parsed, as bench/tracer.py does."""
+    def traced_build_parser():
+        parser = build()
+        parse_args = parser.parse_args
+
+        def traced_parse_args(argv):
+            seen.append(argv)
+            return parse_args(argv)
+
+        parser.parse_args = traced_parse_args
+        return parser
+
+    return traced_build_parser
+
 
 def test_main_calls_a_fresh_parser_through_the_module_name(chain_files,
                                                            capsys,
@@ -862,34 +909,76 @@ def test_main_calls_a_fresh_parser_through_the_module_name(chain_files,
     assert build_parser() is not build_parser()
     g, r, _ = chain_files
     calls = []
-
-    def traced_build_parser():
-        parser = build_parser()
-        parse_args = parser.parse_args
-
-        def traced_parse_args(argv):
-            calls.append(argv)
-            return parse_args(argv)
-
-        parser.parse_args = traced_parse_args
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", traced_build_parser)
+    monkeypatch.setattr(cli, "build_parser", _tracing(build_parser, calls))
     assert main(["check", g, r]) == 0
     assert main(["check", g, r]) == 0
     assert calls == [["check", g, r], ["check", g, r]]
 
 
-def test_parse_builds_only_the_named_subcommand():
-    parser = build_parser()
+def test_a_wrapper_per_parser_holds_over_2000_calls(chain_files, monkeypatch):
+    # one wrapper stacked per call on a shared parser overflows the
+    # recursion limit at about call 980
+    g, r, tmp = chain_files
+    sup = str(tmp / "sup")
+    argvs = (["check", g, r], ["synthesize", g, r, "--out", sup],
+             ["verify", sup + ".aut", g, r])
+    calls = [argvs[i % 3] for i in range(2000)]
+    seen = []
+    monkeypatch.setattr(cli, "build_parser", _tracing(build_parser, seen))
+    assert [main(argv) for argv in calls] == [0] * 2000
+    assert seen == calls
+    assert "parse_args" not in vars(cli._prototype())
+
+
+def _filled(parser) -> set[str]:
     subs = next(action for action in parser._actions
                 if isinstance(action, argparse._SubParsersAction))
+    return {name for name, sub in subs.choices.items() if sub.pending is None}
 
-    def built():
-        return {name for name, sub in subs.choices.items()
-                if sub.pending is None}
 
-    assert built() == set()
+def test_each_subcommand_is_filled_once_per_process(cold_prototype,
+                                                   chain_files, monkeypatch):
+    parser = build_parser()
+    assert _filled(parser) == set()
     args = parser.parse_args(["synthesize", "g", "r", "--out", "x"])
     assert (args.func, args.out) == (cli.cmd_synthesize, "x")
-    assert built() == {"synthesize"}
+    assert _filled(parser) == {"synthesize"}
+
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    second = build_parser()
+    assert _filled(second) == {"synthesize"}
+    assert second.parse_args(["synthesize", "g", "r", "--out", "y"]).out == "y"
+    assert _filled(second) == {"synthesize"}
+    g, r, tmp = chain_files
+    for _ in range(50):
+        assert main(["synthesize", g, r, "--out", str(tmp / "sup")]) == 0
+    assert added == []
+
+
+def test_a_usage_error_leaves_the_next_call_intact(cold_prototype,
+                                                  chain_files, capsys):
+    g, r, tmp = chain_files
+    out = str(tmp / "sup")
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "g"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["synthesize", g, r, "--out", out]) == 0
+    assert capsys.readouterr() == (
+        "construction: takai\nstates: 5  transitions: 4\n"
+        "wrote %s.aut\nwrote %s.json\n" % (out, out), "")
+
+
+def test_parsed_options_do_not_carry_to_the_next_parse():
+    first = build_parser().parse_args(["synthesize", "g", "r", "--out", "x",
+                                       "--partial", "--max-states", "7"])
+    assert (first.partial, first.max_states) == (True, 7)
+    second = build_parser().parse_args(["synthesize", "g", "r", "--out", "x"])
+    assert (second.partial, second.max_states) == (False, None)
