@@ -67,7 +67,7 @@ def _positive_int(label: str, value) -> int:
 
 
 def resolve_guards(args) -> Guards:
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    config = _read_config_file(args.config) if args.config else {}
     defaults = Guards()
 
     def pick(flag_value, key, env_name, fallback):
@@ -80,10 +80,10 @@ def resolve_guards(args) -> Guards:
         return fallback
 
     return Guards(
-        max_states=pick(getattr(args, "max_states", None), "max_states",
-                        ENV_MAX_STATES, defaults.max_states),
-        max_covers=pick(getattr(args, "max_covers", None), "max_covers",
-                        ENV_MAX_COVERS, defaults.max_covers),
+        max_states=pick(args.max_states, "max_states", ENV_MAX_STATES,
+                        defaults.max_states),
+        max_covers=pick(args.max_covers, "max_covers", ENV_MAX_COVERS,
+                        defaults.max_covers),
     )
 
 
@@ -119,10 +119,8 @@ def cmd_check(args) -> int:
                  if args.mode == "uc" else "greatest simulation relation")
         _print_relation(rel, label)
     else:
-        for x0 in sorted(plant.initial):
-            print("  (no relation covers every initial plant state; "
-                  "first initial state: %s)" % x0)
-            break
+        print("  (no relation covers every initial plant state; "
+              "first initial state: %s)" % min(plant.initial))
     return 0 if holds else 1
 
 
@@ -261,33 +259,6 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-class _Command(argparse.ArgumentParser):
-    """A subcommand's parser, built on its first parse.
-
-    The prototype parser registers every subcommand by name and help string
-    only; `fill` adds the arguments of a subcommand on the first parse that
-    names it, so a process pays for each subcommand's arguments once, and
-    only for the subcommands it runs. The filled parser lives in the
-    process-wide prototype that every `build_parser` copy shares.
-    `set_defaults(func=cmd_*)` binds the function at that first fill, so a
-    test that replaces behaviour patches what a `cmd_*` calls (`cli.build`,
-    `cli.check_simulation`), not `cli.cmd_*` itself. This relies on argparse
-    passing `add_parser`'s extra keyword arguments to `parser_class`, and
-    parsing a subcommand's arguments through its `parse_known_args`.
-    """
-
-    def __init__(self, fill, **kwargs):
-        self.pending = (fill, kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.pending is not None:
-            fill, kwargs = self.pending
-            self.pending = None
-            super().__init__(**kwargs)
-            fill(self)
-        return super().parse_known_args(args, namespace)
-
-
 def _fill_check(p) -> None:
     p.add_argument("plant")
     p.add_argument("spec")
@@ -354,29 +325,34 @@ def _fill_export_dot(p) -> None:
 
 @functools.cache
 def _prototype() -> argparse.ArgumentParser:
+    """The whole parser, every subcommand with its arguments, built once per
+    process.
+
+    `set_defaults(func=cmd_*)` binds each function when the prototype is
+    built, so a test that replaces behaviour patches what a `cmd_*` calls
+    (`cli.build`, `cli.check_simulation`), not `cli.cmd_*` itself.
+    """
     parser = argparse.ArgumentParser(
         prog="simsup",
         description="Supervisor synthesis and verification for the similarity "
                     "control problem over nondeterministic finite automata.")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_Command)
-    subs.add_parser("check", fill=_fill_check,
-                    help="decide the (uc-)simulation preorder")
-    subs.add_parser("synthesize", fill=_fill_synthesize,
-                    help="build a supervisor")
-    subs.add_parser(
-        "verify", fill=_fill_verify,
+    subs = parser.add_subparsers(dest="command", required=True)
+    _fill_check(subs.add_parser(
+        "check", help="decide the (uc-)simulation preorder"))
+    _fill_synthesize(subs.add_parser("synthesize", help="build a supervisor"))
+    _fill_verify(subs.add_parser(
+        "verify",
         help="verify a supervisor file; exit 0 iff admissible, in SP, "
              "saturated (when state ids parse as pair sets) and mutually "
              "permissive with a takai build, made only when the supervisor "
-             "is not both saturated and in SP")
-    subs.add_parser("compose", fill=_fill_compose,
-                    help="synchronous composition of two automata")
-    subs.add_parser("random", fill=_fill_random,
-                    help="emit a seeded random plant/spec pair")
-    subs.add_parser("export-dot", fill=_fill_export_dot,
-                    help="render an automaton file as DOT")
+             "is not both saturated and in SP"))
+    _fill_compose(subs.add_parser(
+        "compose", help="synchronous composition of two automata"))
+    _fill_random(subs.add_parser(
+        "random", help="emit a seeded random plant/spec pair"))
+    _fill_export_dot(subs.add_parser(
+        "export-dot", help="render an automaton file as DOT"))
     return parser
 
 
@@ -384,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     """A new parser for one call: a shallow copy of the process-wide prototype.
 
     Every copy shares the prototype's actions and subcommand parsers, so the
-    parser is built once per process and each subcommand filled once (see
-    `_Command`, also for why tests patch what a `cmd_*` calls). Parsing
-    changes none of them past that fill. A copy has its own `__dict__`: a
-    caller may rebind attributes on it, as bench/tracer.py rebinds
-    `parse_args` on each parser this returns, without reaching the
-    prototype. Caching the parser itself would stack one such wrapper per
-    call.
+    parser is built once per process (see `_prototype`, also for why tests
+    patch what a `cmd_*` calls), and parsing changes none of them. A copy has
+    its own `__dict__`: a caller may rebind attributes on it, as
+    bench/tracer.py rebinds `parse_args` on each parser this returns, without
+    reaching the prototype. Caching the parser itself would stack one such
+    wrapper per call.
     """
     return copy.copy(_prototype())
 
