@@ -21,6 +21,7 @@ _OPEN = {"(": ")", "{": "}", "<": ">"}
 _CLOSE = {v: k for k, v in _OPEN.items()}
 _FORBIDDEN = set(' \t\r\n"#:')
 _SEPARATORS = set(",;|")  # legal only inside brackets
+_EVENT_FORBIDDEN = frozenset(_FORBIDDEN | _SEPARATORS | set("(){}<>"))
 
 _TRANS_RE = re.compile(r"^(?P<src>\S+)\s+-(?P<ev>\S+?)->\s+(?P<tgt>\S+)$")
 
@@ -51,9 +52,8 @@ def validate_state_id(name: str) -> str:
 def validate_event_name(name: str) -> str:
     if not name:
         raise InputError("empty event name")
-    bad = _FORBIDDEN | _SEPARATORS | set("(){}<>")
     for ch in name:
-        if ch in bad:
+        if ch in _EVENT_FORBIDDEN:
             raise InputError("illegal character %r in event name %r" % (ch, name))
     return name
 

@@ -160,14 +160,21 @@ def sigma_y(y: TripleState, ctx: SynthesisContext) -> tuple[str, ...]:
                  and clause_b(y.w2, ev, ctx))
 
 
-def _completions(core: int, gammas, ctx: SynthesisContext):
-    """Every admissible completion of a core mask, as (index in gammas,
-    minimal closure mask) pairs: each closure meets the enabling gate of
-    every controllable event its gamma masks."""
+def _gamma_gates(gammas, ctx: SynthesisContext):
+    """Each gamma with the enabling gates of the controllable events it
+    masks, which every closure of its completions must meet."""
     controllable = ctx.plant.alphabet.controllable
+    return [(gamma, [ctx.gates(ev)[0] for ev in gamma & controllable])
+            for gamma in gammas]
+
+
+def _completions(core: int, gated, ctx: SynthesisContext):
+    """Every admissible completion of a core mask, as (index in gated,
+    minimal closure mask) pairs, gated as _gamma_gates makes it: each
+    closure meets the enabling gate of every controllable event its gamma
+    masks."""
     out = []
-    for g, gamma in enumerate(gammas):
-        gates = [ctx.gates(ev)[0] for ev in gamma & controllable]
+    for g, (gamma, gates) in enumerate(gated):
         out += [(g, w2) for w2 in minimal_u(core, gamma, ctx)
                 if all(w2 & enabling for enabling in gates)]
     return out
@@ -186,6 +193,7 @@ def build_partial(plant: Automaton, spec: Automaton,
     ctx = SynthesisContext(plant, spec, guards)
     alphabet = plant.alphabet
     gammas = gamma_candidates(alphabet)
+    gated = _gamma_gates(gammas, ctx)
     masked = [sorted(gamma) for gamma in gammas]
     gamma_ids = [_render_gamma(gamma) for gamma in gammas]
     # sigma_y on closure masks, read off the observable events' gates
@@ -193,13 +201,16 @@ def build_partial(plant: Automaton, spec: Automaton,
                 for ev in alphabet.events if ev in alphabet.observable]
     # each core is completed once, keyed by its pair mask; since a triple
     # holds its core, a core met again only adds edges
-    completed: dict[int, list[tuple[int, int, int]]] = {}
+    completed: dict[int, tuple[tuple[int, int, int], ...]] = {}
+    # the completions of every core of a minimal-covers tuple, concatenated
+    # once the walk has stepped by that tuple core by core
+    joined: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
 
     def completions(core):
         keys = completed.get(core)
         if keys is None:
-            keys = completed[core] = [
-                (core, g, w2) for g, w2 in _completions(core, gammas, ctx)]
+            keys = completed[core] = tuple(
+                (core, g, w2) for g, w2 in _completions(core, gated, ctx))
         return keys
 
     def step(key):
@@ -209,8 +220,17 @@ def build_partial(plant: Automaton, spec: Automaton,
         w2 = ctx.power_state(closure)
         for ev, enabling, blocked in observed:
             if closure & enabling and not closure & blocked:
-                for core in minimal_covers(w2, ev, ctx):
+                covers = tuple(minimal_covers(w2, ev, ctx))
+                bundle = joined.get(covers)
+                if bundle is not None:
+                    yield ev, bundle
+                    continue
+                # core by core, so that a state-cap trip at one core's
+                # completions comes before a closure-cap trip at a later one
+                for core in covers:
                     yield ev, completions(core)
+                joined[covers] = tuple(
+                    t for core in covers for t in completed[core])
 
     @cache
     def render(mask):

@@ -96,7 +96,9 @@ class SynthesisContext:
     its pairs numbered once, their one-step obligations and gates per event
     and their obligations per event set, the pairs a closure under each
     event set can hold, the minimal transversals of each obligation family
-    met, and the PowerState of each pair mask asked for."""
+    met, the minimal covers of each (enabled pair mask, event) answered, and
+    the PowerState of each pair mask asked for.  Every build, check and
+    reference build handed one context shares these tables."""
 
     plant: Automaton
     spec: Automaton
@@ -106,6 +108,9 @@ class SynthesisContext:
     _gates: dict[str, tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _transversals: dict[frozenset[int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # minimal_covers' answers, keyed by (W & enabling gate, event)
+    _covers: dict[tuple[int, str], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _closure_tables: dict[frozenset[str], ClosureTable] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -497,22 +502,32 @@ def minimal_covers(w: PowerState, event: str,
     """Minimal members of the cover family, as pair masks in canonical order.
 
     A minimal cover is a minimal transversal of the obligations' answer
-    masks over the fixpoint pairs.  The cover cap bounds the choice functions
-    (the product of the answer counts), checked before anything is
-    enumerated or looked up in the context's cache, so a trip is never
-    cached.
+    masks over the fixpoint pairs.  Only the pairs of W inside the event's
+    enabling gate have obligations, so the answer depends on W & enabling
+    alone: the context keeps it per (W & enabling, event), and every W with
+    the same key gets the same tuple object.  The cover cap bounds the
+    choice functions (the product of the answer counts), checked before
+    anything is enumerated; only an answer that passed it is kept, so a trip
+    is never memoized and trips again, with the same message, on every call.
     """
-    edges = _edges(ctx.mask(w), event, ctx)
-    if not all(edges):
-        return ()
-    cap = ctx.guards.max_covers
-    choices = 1
-    for e in edges:
-        choices *= e.bit_count()
-        if choices > cap:
-            raise _cover_guard(w, event, reduce(or_, edges, 0).bit_count(),
-                               "choice-function enumeration", cap)
-    return ctx.minimal_transversals(edges)
+    key = (ctx.mask(w) & ctx.gates(event)[0], event)
+    covers = ctx._covers.get(key)
+    if covers is None:
+        edges = _edges(key[0], event, ctx)
+        if not all(edges):
+            covers = ()
+        else:
+            cap = ctx.guards.max_covers
+            choices = 1
+            for e in edges:
+                choices *= e.bit_count()
+                if choices > cap:
+                    raise _cover_guard(w, event,
+                                       reduce(or_, edges, 0).bit_count(),
+                                       "choice-function enumeration", cap)
+            covers = ctx.minimal_transversals(edges)
+        ctx._covers[key] = covers
+    return covers
 
 
 def initial_power_states(ctx: SynthesisContext) -> list[PowerState]:
@@ -565,43 +580,51 @@ def _explore(ctx: SynthesisContext, initial, step, state, tag: str,
     """Breadth-first construction of a supervisor from its initial keys.
 
     The walk knows a state by a hashable key: step(key) yields (event,
-    target keys) for each edge bundle leaving it.  state(key) makes the id
-    and payload of a state once the walk is over, once per state kept.  The
-    initial states are all kept; reaching any other new state when the
-    supervisor already holds max_states trips the state cap, and only that
-    state is named before the walk ends, for the message.
+    targets) for each edge bundle leaving it, targets a hashable tuple of
+    keys.  A build meets the same bundle from many states, so the walk
+    indexes a bundle's targets, one by one in order, only the first time it
+    meets it; a bundle met again costs one lookup.  Each bundle is recorded
+    as (source index, event, target indices), and the edge triples are
+    expanded once the walk is over.  state(key) makes the id and payload of
+    a state then, once per state kept.  The initial states are all kept;
+    reaching any other new state when the supervisor already holds
+    max_states trips the state cap, and only that state is named before the
+    walk ends, for the message.
     """
     keys = list(dict.fromkeys(initial))
     index = {key: i for i, key in enumerate(keys)}
     n_init = len(keys)
     cap = ctx.guards.max_states
-    # source, event and target index of each edge, one after another in a
-    # flat list, which holds no tuple per edge; the automaton's frozenset
-    # drops any repeat
-    edges = []
+    indexed = {}  # bundle -> the indices of its targets, all of them indexed
+    bundles = []
     for src, key in enumerate(keys):  # keys grows as the walk reaches states
         for ev, targets in step(key):
-            for target in targets:
-                i = index.get(target)
-                if i is None:
-                    if len(keys) >= cap:
-                        raise ExplosionGuardError(
-                            "supervisor state cap %d exceeded when reaching %s"
-                            % (cap, state(target)[0]))
-                    i = index[target] = len(keys)
-                    keys.append(target)
-                edges += (src, ev, i)
+            at = indexed.get(targets)
+            if at is None:
+                at = []
+                for target in targets:
+                    i = index.get(target)
+                    if i is None:
+                        if len(keys) >= cap:
+                            raise ExplosionGuardError(
+                                "supervisor state cap %d exceeded when "
+                                "reaching %s" % (cap, state(target)[0]))
+                        i = index[target] = len(keys)
+                        keys.append(target)
+                    at.append(i)
+                at = indexed[targets] = tuple(at)
+            bundles.append((src, ev, at))
     ids, payloads = [], {}
     for key in keys:
         sid, p = state(key)
         ids.append(sid)
         payloads[sid] = p
-    triples = iter(edges)
-    # ids are rendered from the plant's and spec's valid ids
+    # ids are rendered from the plant's and spec's valid ids; the frozenset
+    # drops any repeated edge
     auto = Automaton._of_valid_ids(
         frozenset(ids), ctx.plant.alphabet,
-        frozenset([(ids[a], ev, ids[b])
-                   for a, ev, b in zip(triples, triples, triples)]),
+        frozenset([(ids[src], ev, ids[i])
+                   for src, ev, at in bundles for i in at]),
         frozenset(ids[:n_init]))
     return SupervisorAutomaton(auto, payloads, tag, ctx.guards, notes)
 
@@ -622,11 +645,11 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
         for ev, enabling, blocked in gates:
             if mask & enabling and not mask & blocked:
                 if variant == "takai":
-                    yield ev, minimal_covers(w, ev, ctx)
+                    yield ev, tuple(minimal_covers(w, ev, ctx))
                 else:
                     # drawn in full, so a cover-cap trip comes before any
                     # state of the bundle is reached
-                    yield ev, list(n_set_members(w, ev, ctx))
+                    yield ev, tuple(n_set_members(w, ev, ctx))
 
     def state(mask):
         w = ctx.power_state(mask)

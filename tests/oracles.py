@@ -10,7 +10,7 @@ supervisors.  Slow on purpose; only run at small scales.
 import itertools
 
 from simsup import Automaton, ExplosionGuardError, compose
-from simsup.synthesis import render_pairs
+from simsup.synthesis import SupervisorAutomaton, render_pairs
 
 
 def delta(a: Automaton) -> dict:
@@ -312,6 +312,35 @@ def oracle_product(s: Automaton, g: Automaton, full: bool) -> Automaton:
     trans = {(pid(p), ev, pid(q)) for p in keep for (ev, q) in steps(*p)}
     return Automaton(frozenset(map(pid, keep)), s.alphabet, frozenset(trans),
                      frozenset(map(pid, init)))
+
+
+def oracle_explore(ctx, initial, step, state, tag: str,
+                   notes: tuple[str, ...] = ()) -> SupervisorAutomaton:
+    """The breadth-first supervisor walk of synthesis._explore, target by
+    target: every target of every bundle step(key) yields is looked up on
+    its own, and every edge is kept as a triple as it is met."""
+    keys = list(dict.fromkeys(initial))
+    index = {key: i for i, key in enumerate(keys)}
+    n_init = len(keys)
+    cap = ctx.guards.max_states
+    edges = set()
+    for src, key in enumerate(keys):
+        for ev, targets in step(key):
+            for target in targets:
+                if target not in index:
+                    if len(keys) >= cap:
+                        raise ExplosionGuardError(
+                            "supervisor state cap %d exceeded when reaching %s"
+                            % (cap, state(target)[0]))
+                    index[target] = len(keys)
+                    keys.append(target)
+                edges.add((src, ev, index[target]))
+    named = [state(key) for key in keys]
+    ids = [sid for sid, _ in named]
+    auto = Automaton(frozenset(ids), ctx.plant.alphabet,
+                     frozenset((ids[a], ev, ids[b]) for a, ev, b in edges),
+                     frozenset(ids[:n_init]))
+    return SupervisorAutomaton(auto, dict(named), tag, ctx.guards, notes)
 
 
 def all_supervisors(alphabet, n_states: int):

@@ -20,8 +20,8 @@ from simsup.synthesis import (Guards, SynthesisContext, build, clause_a,
                               render_pairs)
 
 from .fixtures import CHAIN_PLANT, CHAIN_SPEC, W0, W1
-from .oracles import (all_supervisors, oracle_closable, oracle_in_sp,
-                      oracle_loop_below, oracle_matchable,
+from .oracles import (all_supervisors, oracle_closable, oracle_explore,
+                      oracle_in_sp, oracle_loop_below, oracle_matchable,
                       oracle_minimal_u_by_branching, oracle_minimal_u_unpruned,
                       oracle_unanswered)
 from .pool import uc_instance
@@ -426,7 +426,8 @@ def test_initial_cores_complete_under_the_minimal_mask():
         gamma = alpha.unobservable & alpha.uncontrollable
         assert gamma in gamma_candidates(alpha)
         for core in initial_power_states(ctx):
-            assert partial._completions(ctx.mask(core), [gamma], ctx)
+            assert partial._completions(
+                ctx.mask(core), partial._gamma_gates([gamma], ctx), ctx)
             cores += 1
     assert cores > len(draws)
 
@@ -464,6 +465,48 @@ def test_build_partial_outputs_pinned(seed, nx, nz, expected):
     except ExplosionGuardError as exc:
         got = str(exc)
     assert got == expected
+
+
+@pytest.mark.parametrize("seed,nx,nz", [(13, 9, 9), (29, 8, 8), (43, 7, 9)])
+def test_build_partial_matches_the_per_target_walk(monkeypatch, seed, nx, nz):
+    # the build steps a minimal-covers tuple met again by one bundle; walked
+    # target by target, every cap gives the same supervisor or message
+    plant, spec = partial_draw(seed, nx, nz)
+    n = len(build_partial(plant, spec, Guards()).automaton.states)
+    caps = sorted({*range(1, 25), *range(25, n, max(1, n // 20)),
+                   n - 1, n, n + 1})
+
+    def outcomes():
+        out = []
+        for cap in caps:
+            try:
+                out.append(build_partial(plant, spec, Guards(max_states=cap)))
+            except ExplosionGuardError as exc:
+                out.append(str(exc))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(partial, "_explore", oracle_explore)
+    assert got == outcomes()
+    assert any(isinstance(o, str) for o in got)
+    assert not isinstance(got[-1], str)
+
+
+# the memo sits behind the hook: the build calls minimal_covers at every
+# observable step it takes, and minimal_u once per core and gamma
+@pytest.mark.parametrize("seed,nx,nz,covers_calls,u_calls", [
+    (29, 8, 8, 66, 34), (43, 7, 9, 724, 3100)])
+def test_build_partial_hook_call_counts(monkeypatch, seed, nx, nz,
+                                        covers_calls, u_calls):
+    calls = Counter()
+    for name in ("minimal_covers", "minimal_u"):
+        def counted(*args, real=getattr(partial, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(partial, name, counted)
+    build_partial(*partial_draw(seed, nx, nz), Guards())
+    assert calls == {"minimal_covers": covers_calls, "minimal_u": u_calls}
 
 
 def test_build_partial_state_cap_trip_point():
@@ -508,7 +551,9 @@ def test_a_state_cap_trip_renders_only_initial_and_tripping_ids(monkeypatch):
     for w01 in initial_power_states(ctx):
         initial.add(w01)
         initial.update(ctx.power_state(u) for _, u in
-                       partial._completions(ctx.mask(w01), gammas, ctx))
+                       partial._completions(
+                           ctx.mask(w01), partial._gamma_gates(gammas, ctx),
+                           ctx))
     assert len(initial) > 1
     assert set(rendered) == initial | {parse_pairs(w1), parse_pairs(w2)}
     assert set(rendered.values()) == {1}

@@ -1,7 +1,9 @@
 """Powerset synthesis: clauses, covers, builds, pruning, SP membership."""
 
 import itertools
+from collections import Counter
 from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,13 +11,14 @@ from hypothesis import strategies as st
 
 from simsup import (ExplosionGuardError, InputError,
                     SynthesisPreconditionError, automaton_digest,
-                    check_saturated, check_simulation, compose, synthesis)
+                    check_saturated, check_simulation, compose, grcheck,
+                    partial, synthesis)
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.simulation import bit_positions
-from simsup.synthesis import (Guards, SynthesisContext, _minimal_transversals,
-                              build, clause_a, clause_b, cover_family,
-                              in_n_set, in_sp,
+from simsup.synthesis import (Guards, SynthesisContext, _explore,
+                              _minimal_transversals, build, clause_a,
+                              clause_b, cover_family, in_n_set, in_sp,
                               initial_power_states, is_admissible,
                               minimal_covers, more_permissive,
                               n_set_members, parse_pairs, payloads_from_ids,
@@ -27,7 +30,7 @@ from .fixtures import (CHAIN_ALPHA, CHAIN_PLANT, CHAIN_SPEC, FORK_PLANT,
                        chain_sup_a, chain_sup_b, fork_sup_a1)
 from .oracles import (oracle_admissibility_witness, oracle_admissible,
                       oracle_greatest_simulation,
-                      oracle_cover_family, oracle_in_sp,
+                      oracle_cover_family, oracle_explore, oracle_in_sp,
                       oracle_initial_power_states, oracle_loop_below,
                       oracle_matchable, oracle_minimal,
                       oracle_minimal_covers_by_choice, oracle_n_set,
@@ -412,6 +415,60 @@ def test_cover_cap_trips_before_the_transversal_cache(monkeypatch):
     assert len(runs) == 1
 
 
+def test_minimal_covers_trip_is_never_memoized():
+    ctx = _fan(2, 2, 3)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ExplosionGuardError) as exc:
+            minimal_covers(P, "a", ctx)
+        messages.append(str(exc.value))
+    assert messages == ["choice-function enumeration cap 3 exceeded at "
+                        "({(p,z)}, a) with 4 candidate pairs"] * 2
+    assert ctx._covers == {}
+
+
+def test_equal_enabled_pairs_share_one_covers_tuple():
+    # q0 has no a move, so (q0,r0) lies outside a's enabling gate and adds
+    # no obligation to P
+    ctx = _fan(2, 2, 4096)
+    wider = P | {("q0", "r0")}
+    got = minimal_covers(P, "a", ctx)
+    assert minimal_covers(wider, "a", ctx) is got
+    assert minimal_covers(wider, "a", _fan(2, 2, 4096)) == got
+    assert len(got) == 4
+
+
+def counted_hooks(monkeypatch) -> Counter:
+    """Count the calls made through each module's minimal_covers and
+    minimal_u names, the names the benchmark's tracer wraps."""
+    calls = Counter()
+    for module, name in ((synthesis, "minimal_covers"),
+                         (grcheck, "minimal_covers"),
+                         (partial, "minimal_covers"), (partial, "minimal_u")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# the memo sits behind the hook: every (W, event) a build steps by and every
+# one check_saturated reads, repeats included, still calls minimal_covers.
+# Pool draw 2's check_saturated asks only what its build asked
+@pytest.mark.parametrize("draw,build_calls,check_calls", [
+    (2, 500, 500), (68, 65, 65)])
+def test_minimal_covers_hook_call_counts_on_pool(monkeypatch, draw,
+                                                 build_calls, check_calls):
+    plant, spec, _ = uc_instance(draw)
+    calls = counted_hooks(monkeypatch)
+    ctx = SynthesisContext(plant, spec)
+    sup = build(ctx)
+    assert calls == {"minimal_covers": build_calls}
+    assert check_saturated(sup, plant, spec, ctx).verdict == "saturated"
+    assert calls == {"minimal_covers": build_calls + check_calls}
+
+
 # --- initial states ----------------------------------------------------------
 
 def test_initial_power_states_chain():
@@ -579,6 +636,67 @@ def test_build_outputs_pinned(seed, nx, nz, variant, expected):
     except ExplosionGuardError as exc:
         got = str(exc)
     assert got == expected
+
+
+def test_minimal_covers_hook_call_count_on_a_covers_draw(monkeypatch):
+    plant, spec = covers_draw(5, 5, 5)
+    calls = counted_hooks(monkeypatch)
+    build(SynthesisContext(plant, spec, Guards(max_states=2000)))
+    assert calls == {"minimal_covers": 247}
+
+
+# --- the walk ----------------------------------------------------------------
+
+@st.composite
+def walk_tables(draw):
+    """A random step rule over states 0..n-1: each state's step yields
+    bundles drawn from a small pool, so bundles repeat by value, some as the
+    same tuple object and some as a fresh equal one; a few steps raise a
+    guard after yielding some of their bundles."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    state = st.integers(min_value=0, max_value=n - 1)
+    pool = draw(st.lists(st.lists(state, max_size=4), min_size=1, max_size=5))
+    moves = st.lists(st.tuples(st.sampled_from("abc"),
+                               st.integers(min_value=0,
+                                           max_value=len(pool) - 1)),
+                     max_size=4)
+    table = [draw(moves) for _ in range(n)]
+    raising = draw(st.dictionaries(state, st.integers(min_value=0,
+                                                      max_value=4),
+                                   max_size=2))
+    initial = draw(st.lists(state, min_size=1, max_size=3))
+    return n, pool, table, raising, initial
+
+
+def _walk(walk, table, cap):
+    n, pool, moves, raising, initial = table
+    shared = [tuple(bundle) for bundle in pool]
+    ctx = SimpleNamespace(guards=Guards(max_states=cap),
+                          plant=SimpleNamespace(
+                              alphabet=Alphabet.build(["a", "b", "c"])))
+
+    def step(key):
+        for j, (ev, b) in enumerate(moves[key]):
+            if raising.get(key) == j:
+                raise ExplosionGuardError("guard at %d, bundle %d" % (key, j))
+            yield ev, shared[b] if j % 2 else tuple(pool[b])
+        if raising.get(key, -1) >= len(moves[key]):
+            raise ExplosionGuardError("guard at %d, last" % key)
+
+    def state(key):
+        return "s%d" % key, key
+
+    try:
+        return walk(ctx, iter(initial), step, state, "t", ("note",))
+    except ExplosionGuardError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_tables())
+def test_explore_matches_the_per_target_walk(table):
+    for cap in range(1, table[0] + 3):
+        assert _walk(_explore, table, cap) == _walk(oracle_explore, table, cap)
 
 
 def test_fork_build_has_two_initials():
