@@ -16,6 +16,7 @@ ids such as {(x0,z0),(x1,z1)} are ordinary state ids here.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 from .automata import (Alphabet, Automaton, split_top_level, validate_event_name,
@@ -94,19 +95,38 @@ def parse_automaton(text: str) -> Automaton:
                                    frozenset(transitions), frozenset(initial))
 
 
-def format_automaton(a: Automaton) -> str:
-    """Canonical rendering: sorted everywhere; parse(format(a)) == a."""
+# lines per piece that save_automaton writes and automaton_digest hashes: a
+# batch bounds the text held in memory at once, where one write per line
+# would be slower
+_WRITE_BATCH = 1024
+
+
+def _lines(a: Automaton):
+    """The lines of the canonical rendering, in order, each with its
+    newline."""
     decls = []
     for ev in a.alphabet.events:
         ctrl = "c" if ev in a.alphabet.controllable else "uc"
         obs = "o" if ev in a.alphabet.observable else "uo"
         decls.append("%s:%s:%s" % (ev, ctrl, obs))
-    lines = ["events: " + ", ".join(decls),
-             "states: " + ", ".join(a.sorted_states),
-             "initial: " + ", ".join(sorted(a.initial))]
+    yield "events: " + ", ".join(decls) + "\n"
+    yield "states: " + ", ".join(a.sorted_states) + "\n"
+    yield "initial: " + ", ".join(sorted(a.initial)) + "\n"
     for (src, ev, tgt) in sorted(a.transitions):
-        lines.append("trans: %s -%s-> %s" % (src, ev, tgt))
-    return "\n".join(lines) + "\n"
+        yield "trans: %s -%s-> %s\n" % (src, ev, tgt)
+
+
+def _batches(a: Automaton):
+    """The canonical rendering in pieces of _WRITE_BATCH lines, the last
+    one shorter; a text of at most _WRITE_BATCH lines comes in one piece."""
+    lines = _lines(a)
+    while batch := "".join(itertools.islice(lines, _WRITE_BATCH)):
+        yield batch
+
+
+def format_automaton(a: Automaton) -> str:
+    """Canonical rendering: sorted everywhere; parse(format(a)) == a."""
+    return "".join(_lines(a))
 
 
 def read_text(path) -> str:
@@ -126,13 +146,19 @@ def load_automaton(path) -> Automaton:
 
 
 def save_automaton(a: Automaton, path) -> None:
+    """Write format_automaton(a) to path, _WRITE_BATCH lines per write, so
+    that no more than a batch of the text is held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_automaton(a))
+        for batch in _batches(a):
+            fh.write(batch)
 
 
 def automaton_digest(a: Automaton) -> str:
     """sha256 of the canonical text form; identifies a context in sidecars."""
-    return hashlib.sha256(format_automaton(a).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for batch in _batches(a):
+        digest.update(batch.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _sidecar_header(sup, plant: Automaton, spec: Automaton) -> dict:

@@ -212,14 +212,12 @@ def cmd_compose(args) -> int:
     left = load_automaton(args.left)
     right = load_automaton(args.right)
     product = compose(left, right, full=args.full)
-    text = format_automaton(product)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_automaton(product, args.out)
         print("wrote %s (%d states, %d transitions)"
               % (args.out, len(product.states), len(product.transitions)))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_automaton(product))
     return 0
 
 

@@ -232,9 +232,13 @@ def build_partial(plant: Automaton, spec: Automaton,
                 joined[covers] = tuple(
                     t for core in covers for t in completed[core])
 
+    # the payloads' PowerStates, one per distinct mask, shared by the
+    # triples that hold it
+    payload = cache(ctx.power_state)
+
     @cache
     def render(mask):
-        return render_pairs(ctx.power_state(mask))
+        return render_pairs(payload(mask))
 
     def tid(key):
         core, g, closure = key
@@ -242,8 +246,8 @@ def build_partial(plant: Automaton, spec: Automaton,
 
     def state(key):
         core, g, closure = key
-        return tid(key), TripleState(ctx.power_state(core), gammas[g],
-                                     ctx.power_state(closure))
+        return tid(key), TripleState(payload(core), gammas[g],
+                                     payload(closure))
 
     inits = [key for w01 in initial_power_states(ctx)
              for key in completions(ctx.mask(w01))]

@@ -96,9 +96,10 @@ class SynthesisContext:
     its pairs numbered once, their one-step obligations and gates per event
     and their obligations per event set, the pairs a closure under each
     event set can hold, the minimal transversals of each obligation family
-    met, the minimal covers of each (enabled pair mask, event) answered, and
-    the PowerState of each pair mask asked for.  Every build, check and
-    reference build handed one context shares these tables."""
+    met, and the minimal covers of each (enabled pair mask, event) answered.
+    Every build, check and reference build handed one context shares these
+    tables.  PowerStates are not kept: the context holds only the last one
+    power_state made, with its mask, for mask to read back."""
 
     plant: Automaton
     spec: Automaton
@@ -116,12 +117,10 @@ class SynthesisContext:
         default_factory=dict, init=False, repr=False, compare=False)
     _closable: dict[frozenset[str], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _power_states: dict[int, PowerState] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the masks of the PowerStates power_state made, for mask to look up:
-    # they serve only the minimal_covers hook, which takes PowerStates
-    _masks: dict[PowerState, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # [PowerState, mask] of power_state's last call: a build hands that
+    # PowerState to the minimal_covers hook, whose mask call reads it here
+    _last: list = field(default_factory=lambda: [None, 0], init=False,
+                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.plant.alphabet != self.spec.alphabet:
@@ -250,25 +249,29 @@ class SynthesisContext:
         return out
 
     def mask(self, w) -> int:
-        """The pair mask of a PowerState, looked up when power_state made
-        it; raises InputError naming the least pair outside the fixpoint."""
-        mask = self._masks.get(w) or _fixpoint_mask(w, self)
+        """The pair mask of a PowerState: kept from power_state when w is
+        the one it made last, else read off pair_index; raises InputError
+        naming the least pair outside the fixpoint."""
+        last = self._last
+        if w is last[0]:
+            return last[1]
+        mask = _fixpoint_mask(w, self)
         if mask is None:
             raise InputError("PowerState pair (%s,%s) outside the fixpoint"
                              % min(p for p in w if p not in self.pair_index))
         return mask
 
     def power_state(self, mask: int) -> PowerState:
-        """The PowerState of a pair mask, made once per mask and shared."""
-        w = self._power_states.get(mask)
-        if w is None:
-            pairs, members, rest = self.fixpoint_pairs, [], mask
-            while rest:
-                low = rest & -rest
-                members.append(pairs[low.bit_length() - 1])
-                rest ^= low
-            w = self._power_states[mask] = frozenset(members)
-            self._masks[w] = mask
+        """The PowerState of a pair mask, a new frozenset on every call; the
+        context keeps the last one with its mask for mask."""
+        pairs, members, rest = self.fixpoint_pairs, [], mask
+        while rest:
+            low = rest & -rest
+            members.append(pairs[low.bit_length() - 1])
+            rest ^= low
+        w = frozenset(members)
+        last = self._last
+        last[0], last[1] = w, mask
         return w
 
     def power_states(self, masks) -> list[PowerState]:
@@ -634,11 +637,14 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
 
     takai: edges to every minimal cover.  variant1: edges to every cover.
     States are keyed by pair mask, and clauses (a) and (b) are read off the
-    events' gates.
+    events' gates.  Like minimal_covers, variant1's covers depend on W &
+    enabling gate alone, so the build draws them once per (W & enabling,
+    event).
     """
     if variant not in ("takai", "variant1"):
         raise InputError("unknown variant %r" % variant)
     gates = [(ev, *ctx.gates(ev)) for ev in ctx.plant.alphabet.events]
+    drawn: dict[tuple[int, str], tuple[int, ...]] = {}  # variant1's covers
 
     def step(mask):
         w = ctx.power_state(mask)
@@ -646,10 +652,15 @@ def build(ctx: SynthesisContext, variant: str = "takai") -> SupervisorAutomaton:
             if mask & enabling and not mask & blocked:
                 if variant == "takai":
                     yield ev, tuple(minimal_covers(w, ev, ctx))
-                else:
+                    continue
+                key = (mask & enabling, ev)
+                covers = drawn.get(key)
+                if covers is None:
                     # drawn in full, so a cover-cap trip comes before any
-                    # state of the bundle is reached
-                    yield ev, tuple(n_set_members(w, ev, ctx))
+                    # state of the bundle is reached, and before its key
+                    # is stored
+                    covers = drawn[key] = tuple(n_set_members(w, ev, ctx))
+                yield ev, covers
 
     def state(mask):
         w = ctx.power_state(mask)

@@ -1,6 +1,8 @@
 """Text format: parsing, serialization, digests, sidecars."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,57 @@ trans: x1 -sigma-> x2
 """
     assert automaton_digest(parse_automaton(shuffled)) == automaton_digest(CHAIN_PLANT)
     assert automaton_digest(CHAIN_PLANT) != automaton_digest(CHAIN_SPEC)
+
+
+_B = autfile._WRITE_BATCH
+
+
+def _chain_of(n: int) -> Automaton:
+    """A chain of n transitions over state ids with a backslash or non-ASCII
+    letters, under a non-ASCII event and an ASCII one."""
+    ids = ["x\\%d" % i if i % 2 else "x\u00e9%d" % i for i in range(n + 1)]
+    return Automaton.build(_ODD, [(ids[i], "\u03c3" if i % 3 else "c",
+                                   ids[i + 1]) for i in range(n)], [ids[0]])
+
+
+# the header takes three lines, so B - 3 transitions fill one batch exactly
+@pytest.mark.parametrize("n", [0, _B - 4, _B - 3, _B - 2, _B - 1, _B, _B + 1,
+                               3 * _B + 5])
+def test_save_automaton_writes_the_canonical_text_in_batches(tmp_path, n):
+    a = _chain_of(n)
+    text = format_automaton(a)
+    path = tmp_path / "a.aut"
+    autfile.save_automaton(a, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert parse_automaton(path.read_text(encoding="utf-8")) == a
+    # full batches but the last, and one batch for a text that fits in one
+    lines = n + 3
+    sizes = [_B] * (lines // _B) + ([lines % _B] if lines % _B else [])
+    assert [b.count("\n") for b in autfile._batches(a)] == sizes
+    assert automaton_digest(a) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_save_automaton_holds_a_batch_not_the_text(tmp_path):
+    # 67 500 transitions, 6.5 MB of text: writing it keeps the sorted
+    # transitions and one batch in memory, not the whole text
+    alphabet = Alphabet.build(["a", "b", "c"], controllable=["a"],
+                              observable=["a", "b", "c"])
+    ids = ["{%s}" % ",".join("(x%03d,z%d)" % (i, k) for k in range(4))
+           for i in range(150)]
+    a = Automaton.build(alphabet, [(s, e, t) for s in ids for e in "abc"
+                                   for t in ids], [ids[0]])
+    a.sorted_states  # cached before tracing
+    path = tmp_path / "big.aut"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        autfile.save_automaton(a, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1 << 20
+    assert peak < size / 4, (peak, size)
 
 
 def test_sidecar_shape_full_observation():

@@ -1,6 +1,8 @@
 """Powerset synthesis: clauses, covers, builds, pruning, SP membership."""
 
+import hashlib
 import itertools
+import random
 from collections import Counter
 from functools import cached_property
 from types import SimpleNamespace
@@ -510,6 +512,32 @@ def test_power_states_in_canonical_order(data):
         expected, key=lambda w: tuple(sorted(w)))
 
 
+def test_mask_reads_back_every_power_state(monkeypatch):
+    # the context keeps only the PowerState power_state made last: its mask
+    # comes back with no pair read, while an older one and an equal
+    # frozenset made elsewhere are read off pair_index
+    ctx = chain_ctx()
+    reads = []
+
+    def counted(w, ctx):
+        reads.append(w)
+        return real(w, ctx)
+
+    real = synthesis._fixpoint_mask
+    monkeypatch.setattr(synthesis, "_fixpoint_mask", counted)
+    m1, m4 = ctx.mask(W1), ctx.mask(W4)
+    assert reads == [W1, W4]
+    older = ctx.power_state(m1)
+    assert ctx.mask(older) == m1 and len(reads) == 2
+    latest = ctx.power_state(m4)
+    assert ctx.mask(latest) == m4 and len(reads) == 2
+    assert ctx.mask(older) == m1 and len(reads) == 3
+    elsewhere = frozenset(sorted(latest))
+    assert elsewhere == latest and elsewhere is not latest
+    assert ctx.mask(elsewhere) == m4 and len(reads) == 4
+    assert older == W1 and latest == W4
+
+
 def test_initial_power_states_precondition():
     # no initial spec partner: x0 enables uncontrollable sigma, z0 does not
     g = Automaton.build(CHAIN_ALPHA, [("x0", "sigma", "x0")], ["x0"])
@@ -643,6 +671,32 @@ def test_minimal_covers_hook_call_count_on_a_covers_draw(monkeypatch):
     calls = counted_hooks(monkeypatch)
     build(SynthesisContext(plant, spec, Guards(max_states=2000)))
     assert calls == {"minimal_covers": 247}
+
+
+def test_variant1_enumerates_each_key_once_on_the_covers_workload(monkeypatch):
+    # the 48 draws of the benchmark's covers workload at seed 0, built by
+    # variant1 under a state cap of 2000: each build enumerates the covers of
+    # each (W & enabling gate, event) once, and its file, or its guard
+    # message, is that of the build that enumerated at every (W, event)
+    real, keys, outcomes = synthesis.n_set_members, Counter(), hashlib.sha256()
+
+    def counted(w, ev, ctx):
+        keys[draw, ctx.mask(w) & ctx.gates(ev)[0], ev] += 1
+        return real(w, ev, ctx)
+
+    monkeypatch.setattr(synthesis, "n_set_members", counted)
+    for draw in range(48):
+        rng = random.Random(draw * 7919 + 29)
+        plant, spec = covers_draw(draw, rng.randint(5, 7), rng.randint(5, 7))
+        ctx = SynthesisContext(plant, spec, Guards(max_states=2000))
+        try:
+            got = automaton_digest(build(ctx, "variant1").automaton)
+        except ExplosionGuardError as exc:
+            got = str(exc)
+        outcomes.update((got + "\n").encode())
+    assert set(keys.values()) == {1} and len(keys) == 9346
+    assert outcomes.hexdigest() == \
+        "35e1d680549c69f59ab10a33a93b21ae624bb1b1a709b05da2b795ca01c2fcca"
 
 
 # --- the walk ----------------------------------------------------------------
