@@ -17,6 +17,7 @@ the states they keep once the walk is over.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -95,8 +96,9 @@ class SynthesisContext:
     from them: the greatest matching fixpoint (computed once, cached) with
     its pairs numbered once, their one-step obligations and gates per event
     and their obligations per event set, the pairs a closure under each
-    event set can hold, the minimal transversals of each obligation family
-    met, and the minimal covers of each (enabled pair mask, event) answered.
+    event set can hold, the minimal transversals of the rest of each
+    obligation family met (the edges its singleton edges' forced bits do not
+    hit), and the minimal covers of each (enabled pair mask, event) answered.
     Every build, check and reference build handed one context shares these
     tables.  PowerStates are not kept: the context holds only the last one
     power_state made, with its mask, for mask to read back."""
@@ -108,6 +110,8 @@ class SynthesisContext:
         default_factory=dict, init=False, repr=False, compare=False)
     _gates: dict[str, tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # minimal_transversals' answers before the forced bits are ORed in,
+    # keyed by the rest family: the edges no singleton edge's bit hits
     _transversals: dict[frozenset[int], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # minimal_covers' answers, keyed by (W & enabling gate, event)
@@ -239,14 +243,27 @@ class SynthesisContext:
         return live
 
     def minimal_transversals(self, edges: list[int]) -> tuple[int, ...]:
-        """The minimal transversals of edges in canonical order, cached per
-        obligation family: the set of the edges, which is all MMCS reads."""
-        family = frozenset(edges)
-        out = self._transversals.get(family)
+        """The minimal transversals of edges in canonical order.
+
+        A singleton edge forces its bit into every transversal, and the
+        edges a forced bit hits are met by it; the rest, the edges no forced
+        bit hits, use none of the forced bits.  So the transversals are
+        those of the rest with the forced bits ORed in: that keeps each
+        minimal and keeps the canonical order, since the lowest bit at which
+        two of them differ is a rest bit either way.  The rest's are cached
+        per rest family, the set of its edges, which is all MMCS reads, so
+        families that differ only in forced bits share one run and one sort.
+        """
+        forced = 0
+        for e in edges:
+            if not e & (e - 1):
+                forced |= e
+        rest = frozenset([e for e in edges if not e & forced])
+        out = self._transversals.get(rest)
         if out is None:
-            out = self._transversals[family] = tuple(
-                _antichain_order(_minimal_transversals(edges)))
-        return out
+            out = self._transversals[rest] = tuple(
+                _antichain_order(_minimal_transversals(rest)))
+        return tuple([m | forced for m in out]) if forced else out
 
     def mask(self, w) -> int:
         """The pair mask of a PowerState: kept from power_state when w is
@@ -432,22 +449,22 @@ def _antichain_order(masks) -> list[int]:
     return sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
 
 
-def _minimal_transversals(edges: list[int]) -> list[int]:
+def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     """Minimal transversals (hitting sets) of a family of bitmask edges.
 
-    Bits of singleton edges are forced; edges they hit, duplicates and
-    supersets of other edges are dropped.  The rest splits into connected
-    components, two edges connecting when they share a bit; the minimal
-    transversals are the unions of one minimal transversal per component
-    (Eiter & Gottlob 1995).  A one-edge component's are its single bits;
-    only a larger component runs MMCS.  Each comes out once.
+    Duplicates and supersets of other edges are dropped.  The rest splits
+    into connected components, two edges connecting when they share a bit;
+    the minimal transversals are the unions of one minimal transversal per
+    component (Eiter & Gottlob 1995).  A one-edge component's are its single
+    bits; only a larger component runs MMCS.  Each comes out once.  A
+    singleton edge needs no step of its own: the edges its bit hits are its
+    supersets, so it stays a one-edge component whose one bit every
+    transversal holds.  SynthesisContext.minimal_transversals takes the
+    singletons off before its cache, so they reach here only from callers
+    that hand over a whole family.
     """
-    forced = 0
-    for e in edges:
-        if not e & (e - 1):
-            forced |= e
     components: list[tuple[int, list[int]]] = []  # (bits, edges), disjoint
-    for e in _minimal_masks({e for e in edges if not e & forced}):
+    for e in _minimal_masks(edges):
         bits, members, apart = e, [e], []
         for comp in components:
             if comp[0] & e:
@@ -457,7 +474,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
                 apart.append(comp)
         apart.append((bits, members))
         components = apart
-    out = [forced]
+    out = [0]
     for bits, members in components:
         part = ([1 << j for j in bit_positions(bits)] if len(members) == 1
                 else _mmcs(members))

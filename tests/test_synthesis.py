@@ -18,7 +18,8 @@ from simsup import (ExplosionGuardError, InputError,
 from simsup.automata import Alphabet, Automaton
 from simsup.randgen import random_pair, random_uc_pair
 from simsup.simulation import bit_positions
-from simsup.synthesis import (Guards, SynthesisContext, _explore,
+from simsup.synthesis import (Guards, SynthesisContext, _antichain_order,
+                              _explore, _minimal_masks,
                               _minimal_transversals, build, clause_a,
                               clause_b, cover_family, in_n_set, in_sp,
                               initial_power_states, is_admissible,
@@ -337,6 +338,53 @@ def test_minimal_transversals_of_split_families(case):
         tuple(sorted(brute, key=bit_positions))
 
 
+@st.composite
+def _family_streams(draw):
+    """(n, families): 2-6 families of edges over n <= 8 bits, each a base
+    family on the low bits plus single-bit edges anywhere, some of them
+    inside base edges, plus repeats and a superset of each repeat."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    low = (1 << draw(st.integers(min_value=1, max_value=n))) - 1
+    base = draw(st.lists(st.integers(min_value=1, max_value=low),
+                         min_size=1, max_size=5))
+    families = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        singles = [1 << j for j in draw(st.lists(
+            st.integers(min_value=0, max_value=n - 1), max_size=3))]
+        again = draw(st.lists(st.sampled_from(base + singles), max_size=2))
+        family = base + singles + again + [
+            e | draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+            for e in again]
+        families.append(draw(st.permutations(family)))
+    return n, families
+
+
+@settings(max_examples=200, deadline=None)
+@given(_family_streams())
+def test_one_context_answers_a_stream_of_families(case):
+    # families that share a base and differ in their single-bit edges hit
+    # the context's cache, which holds each family's transversals with the
+    # forced bits taken off; every answer is still exact and canonical
+    n, families = case
+    ctx = chain_ctx()
+    for edges in families:
+        assert ctx.minimal_transversals(edges) == tuple(
+            sorted(_brute_minimal_transversals(n, edges), key=bit_positions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
+                max_size=8),
+       st.integers(min_value=0, max_value=(1 << 10) - 1))
+def test_antichain_order_keeps_its_order_under_disjoint_bits(masks, forced):
+    # ORing bits no member holds into every member of an antichain leaves
+    # the lowest bit where two members differ where it was
+    antichain = _minimal_masks({m & ~forced for m in masks})
+    ored = [m | forced for m in _antichain_order(antichain)]
+    assert ored == _antichain_order([m | forced for m in antichain])
+    assert ored == sorted(ored, key=bit_positions)
+
+
 def _fan(branches: int, answers: int, max_covers: int,
          sources=("p",)) -> SynthesisContext:
     """W = {(p,z)}: p -a-> q_i for each branch, z -a-> r_j for each answer,
@@ -438,6 +486,60 @@ def test_equal_enabled_pairs_share_one_covers_tuple():
     assert minimal_covers(wider, "a", ctx) is got
     assert minimal_covers(wider, "a", _fan(2, 2, 4096)) == got
     assert len(got) == 4
+
+
+def test_families_differing_in_forced_bits_share_one_run(monkeypatch):
+    # one rest family, {0,1} and {1,2}, under no forced bit, under bit 4,
+    # and under bits 4 and 5 with edges those bits hit: one MMCS run
+    runs = _counted_transversals(monkeypatch)
+    ctx = chain_ctx()
+    families = ([0b11, 0b110], [0b10000, 0b110, 0b11],
+                [0b11, 0b110000, 0b100000, 0b110, 0b10000, 0b10001, 0b11])
+    for edges in families:
+        assert ctx.minimal_transversals(edges) == tuple(
+            sorted(_brute_minimal_transversals(6, edges), key=bit_positions))
+    assert len(runs) == 1
+    # a single-bit edge inside a rest edge changes the rest
+    assert ctx.minimal_transversals([0b11, 0b110, 0b1]) == (0b11, 0b101)
+    assert len(runs) == 2
+
+
+def _forcing_ctx() -> SynthesisContext:
+    """(p,z) owes a move to q1 and one to q2, each answered by r0 or r1;
+    (p2,y) owes one to q0, answered by r0 alone, so (q0,r0) is forced; (p3,v)
+    owes one to q0, answered by any of r0..r3, an edge the forced bit hits.
+    The cover cap is 4."""
+    alpha = Alphabet.build(["a"])
+    plant = Automaton.build(alpha, [("p", "a", "q1"), ("p", "a", "q2"),
+                                    ("p2", "a", "q0"), ("p3", "a", "q0")],
+                            ["p"])
+    spec = Automaton.build(alpha, [("z", "a", "r0"), ("z", "a", "r1"),
+                                   ("y", "a", "r0")]
+                           + [("v", "a", "r%d" % j) for j in range(4)], ["z"])
+    return SynthesisContext(plant, spec, Guards(max_covers=4))
+
+
+def test_cover_cap_trips_on_a_family_whose_rest_is_cached(monkeypatch):
+    runs = _counted_transversals(monkeypatch)
+    ctx = _forcing_ctx()
+    w = frozenset({("p", "z"), ("p2", "y")})
+    # 2 x 2 x 1 choice functions: (p,z)'s two edges are the rest, and
+    # (q0,r0) is in every cover
+    got = minimal_covers(w, "a", ctx)
+    assert _as_power_states(got, ctx) == \
+        oracle_minimal_covers_by_choice(w, "a", ctx)
+    assert all(("q0", "r0") in cover for cover in _as_power_states(got, ctx))
+    # the edge the forced bit hits leaves the rest as it was, but counts 4
+    # in the product: 2 x 2 x 1 x 4 is over the cap
+    wider = w | {("p3", "v")}
+    for _ in range(2):
+        with pytest.raises(ExplosionGuardError) as exc:
+            minimal_covers(wider, "a", ctx)
+        assert str(exc.value) == (
+            "choice-function enumeration cap 4 exceeded at "
+            "({(p,z),(p2,y),(p3,v)}, a) with 8 candidate pairs")
+    assert list(ctx._covers) == [(ctx.mask(w), "a")]
+    assert len(runs) == 1
 
 
 def counted_hooks(monkeypatch) -> Counter:
